@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "persist/model_io.h"
@@ -254,22 +256,21 @@ std::vector<uint32_t> AssignNearest(const typename Traits::Dataset& dataset,
 using RoutedScratch = serving::RoutedScratch;
 
 /// Routed nearest-centroid assignment through a retained fit-time index:
-/// per item, sign the query (`sign_query(dataset, item, scratch)` fills
-/// scratch.signature) and hand it to the shared routing kernel — probe
-/// the fit-time buckets, sketch-screen, dereference candidate clusters
-/// through the fitted assignment, take the nearest candidate, exhaustive
-/// fallback on an empty probe (see serving::RouteSignedQuery for the
-/// tie-breaking contract). Shard-chunked through the same ShardPlan the
-/// engine uses; per-item work is pure, so every (threads x shards)
-/// setting is bit-identical, and like AssignNearest the pool is spawned
-/// per call so small arrival batches stay sequential.
-template <typename Traits, typename Provider, typename SignQueryFn>
+/// per item, sign the query (serving::SignQuery) and hand it to the shared
+/// routing kernel — probe the fit-time buckets, sketch-screen, dereference
+/// candidate clusters through the fitted assignment, take the nearest
+/// candidate, exhaustive fallback on an empty probe (see
+/// serving::RouteSignedQuery for the tie-breaking contract). Shard-chunked
+/// through the same ShardPlan the engine uses; per-item work is pure, so
+/// every (threads x shards) setting is bit-identical, and like
+/// AssignNearest the pool is spawned per call so small arrival batches stay
+/// sequential.
+template <typename Traits, typename Provider>
 std::vector<uint32_t> AssignRouted(const typename Traits::Dataset& dataset,
                                    const typename Traits::Centroids& model,
                                    const typename Traits::Options& options,
                                    const Provider& provider,
-                                   std::span<const uint32_t> fit_assignment,
-                                   const SignQueryFn& sign_query) {
+                                   std::span<const uint32_t> fit_assignment) {
   const uint32_t n = dataset.num_items();
   const uint32_t k = options.num_clusters;
   const BandedIndex& index = *provider.index();
@@ -290,7 +291,7 @@ std::vector<uint32_t> AssignRouted(const typename Traits::Dataset& dataset,
   const auto route_range = [&](uint32_t begin, uint32_t end,
                                RoutedScratch& scratch) {
     for (uint32_t item = begin; item < end; ++item) {
-      sign_query(dataset, item, scratch);
+      serving::SignQuery(provider.family(), dataset, item, scratch);
       assignment[item] = serving::RouteSignedQuery<Traits>(
           dataset, model, options, view, item, scratch);
     }
@@ -388,6 +389,10 @@ class EngineDispatcher {
 
   virtual bool fitted() const = 0;
 
+  /// Installs a decoded model file as the fitted state
+  /// (Clusterer::FromSnapshot).
+  virtual Status Adopt(persist::DecodedModel&& model) = 0;
+
   /// The validated spec this dispatcher was built from — the single
   /// stored copy (Clusterer::spec() reads it through here).
   const ClustererSpec& spec() const { return spec_; }
@@ -457,36 +462,121 @@ class EngineDispatcher {
 
 namespace {
 
-/// K-Modes cell (kCategorical and kTextBinarized): exhaustive, MinHash
-/// shortlists, or canopy shortlists over a CategoricalDataset. The
-/// MinHash cell retains its prepared provider (spec.retain_index) as the
-/// model's routed-query state.
-class CategoricalDispatcher final : public EngineDispatcher {
+// --- Per-modality pieces of the one Dispatcher, as overload sets. -------
+
+/// Engine options of a modality from the spec: the shared engine options,
+/// plus gamma for K-Prototypes.
+void ApplySpec(const ClustererSpec& spec, EngineOptions* options) {
+  *options = spec.engine;
+}
+void ApplySpec(const ClustererSpec& spec, KPrototypesOptions* options) {
+  static_cast<EngineOptions&>(*options) = spec.engine;
+  options->gamma = spec.gamma;
+}
+
+/// A dataset's (primary, secondary) shape as CheckQueryShape reads it.
+std::pair<uint32_t, uint32_t> ShapeOf(const CategoricalDataset& dataset) {
+  return {dataset.num_attributes(), 0};
+}
+std::pair<uint32_t, uint32_t> ShapeOf(const NumericDataset& dataset) {
+  return {dataset.dimensions(), 0};
+}
+std::pair<uint32_t, uint32_t> ShapeOf(const MixedDataset& dataset) {
+  return {dataset.num_categorical(), dataset.num_numeric()};
+}
+
+/// The centroids of a decoded model file, per centroid type.
+Result<ModeTable> DecodedCentroids(const persist::DecodedModel& model,
+                                   std::type_identity<ModeTable>) {
+  return persist::BuildModeTable(model);
+}
+Result<CentroidTable> DecodedCentroids(const persist::DecodedModel& model,
+                                       std::type_identity<CentroidTable>) {
+  return persist::BuildCentroidTable(model);
+}
+Result<MixedClusteringTraits::Centroids> DecodedCentroids(
+    const persist::DecodedModel& model,
+    std::type_identity<MixedClusteringTraits::Centroids>) {
+  LSHC_ASSIGN_OR_RETURN(ModeTable modes, persist::BuildModeTable(model));
+  LSHC_ASSIGN_OR_RETURN(CentroidTable centroids,
+                        persist::BuildCentroidTable(model));
+  return MixedClusteringTraits::Centroids{std::move(modes),
+                                          std::move(centroids)};
+}
+
+/// The family table: per LSH family, the accelerator that selects it, its
+/// spec options, and the builder of its persisted routing state.
+template <typename Family>
+struct FamilyTable;
+
+template <>
+struct FamilyTable<MinHashShortlistFamily> {
+  static constexpr Accelerator kAccelerator = Accelerator::kMinHash;
+  static const ShortlistIndexOptions& Options(const ClustererSpec& spec) {
+    return spec.minhash;
+  }
+  static auto LoadRouting(persist::DecodedModel&& model) {
+    return persist::BuildMinHashRouting(std::move(model));
+  }
+};
+
+template <>
+struct FamilyTable<SimHashShortlistFamily> {
+  static constexpr Accelerator kAccelerator = Accelerator::kSimHash;
+  static const SimHashIndexOptions& Options(const ClustererSpec& spec) {
+    return spec.simhash;
+  }
+  static auto LoadRouting(persist::DecodedModel&& model) {
+    return persist::BuildSimHashRouting(std::move(model));
+  }
+};
+
+template <>
+struct FamilyTable<MixedShortlistFamily> {
+  static constexpr Accelerator kAccelerator = Accelerator::kMixedConcat;
+  static const MixedIndexOptions& Options(const ClustererSpec& spec) {
+    return spec.mixed_index;
+  }
+  static auto LoadRouting(persist::DecodedModel&& model) {
+    return persist::BuildMixedRouting(std::move(model));
+  }
+};
+
+/// One modality's cell: exhaustive or `Family` shortlists (plus canopy
+/// shortlists for categorical data) over a `Traits::Dataset`. The family
+/// cell retains its prepared provider (spec.retain_index) as the model's
+/// routed-query state.
+template <typename Traits, typename Family>
+class Dispatcher final : public EngineDispatcher {
  public:
+  using Dataset = typename Traits::Dataset;
+  using Options = typename Traits::Options;
+  using Centroids = typename Traits::Centroids;
+  using Provider = ShortlistProvider<Family>;
+
   using EngineDispatcher::EngineDispatcher;
 
-  Result<FitReport> Fit(const CategoricalDataset& dataset) override {
+  Result<FitReport> Fit(const Dataset& dataset) override {
     // Built into locals and only moved into the members on success: a
     // rejected Fit leaves the previously fitted model — and any retained
     // index with outstanding handles — usable.
-    ModeTable modes(spec_.engine.num_clusters, dataset.num_attributes());
-    std::unique_ptr<ClusterShortlistProvider> retained;
+    const Options options = MakeOptions();
+    Centroids model = Traits::MakeCentroids(dataset, options);
+    std::unique_ptr<Provider> retained;
     FitReport report;
     switch (spec_.accelerator) {
       case Accelerator::kExhaustive: {
         ExhaustiveProvider provider;
-        LSHC_ASSIGN_OR_RETURN(
-            report, (RunToReport<CategoricalClusteringTraits>(
-                        dataset, spec_.engine, provider, &modes)));
+        LSHC_ASSIGN_OR_RETURN(report, (RunToReport<Traits>(
+                                          dataset, options, provider, &model)));
         break;
       }
-      case Accelerator::kMinHash: {
-        auto provider = std::make_unique<ClusterShortlistProvider>(
-            spec_.minhash, spec_.engine.num_clusters);
+      case FamilyTable<Family>::kAccelerator: {
+        auto provider = std::make_unique<Provider>(
+            FamilyTable<Family>::Options(spec_), spec_.engine.num_clusters);
         LSHC_ASSIGN_OR_RETURN(
-            report, (RunToReport<CategoricalClusteringTraits>(
-                        dataset, spec_.engine, *provider, &modes,
-                        spec_.retain_index)));
+            report, (RunToReport<Traits>(dataset, options, *provider, &model,
+                                         spec_.retain_index)));
         // A cancelled Prepare installs no index; never retain a provider
         // without one.
         if (spec_.retain_index && provider->index() != nullptr) {
@@ -494,19 +584,22 @@ class CategoricalDispatcher final : public EngineDispatcher {
         }
         break;
       }
-      case Accelerator::kCanopy: {
-        CanopyShortlistProvider provider(spec_.canopy,
-                                         spec_.engine.num_clusters);
-        LSHC_ASSIGN_OR_RETURN(
-            report, (RunToReport<CategoricalClusteringTraits>(
-                        dataset, spec_.engine, provider, &modes)));
-        break;
-      }
+      case Accelerator::kCanopy:
+        if constexpr (std::is_same_v<Traits, CategoricalClusteringTraits>) {
+          CanopyShortlistProvider provider(spec_.canopy,
+                                           spec_.engine.num_clusters);
+          LSHC_ASSIGN_OR_RETURN(report,
+                                (RunToReport<Traits>(dataset, options,
+                                                     provider, &model)));
+          break;
+        } else {
+          return UnsupportedAccelerator();
+        }
       default:
         return UnsupportedAccelerator();
     }
-    num_attributes_ = dataset.num_attributes();
-    modes_ = std::move(modes);
+    std::tie(shape_primary_, shape_secondary_) = ShapeOf(dataset);
+    model_ = std::move(model);
     retained_ = std::move(retained);
     BumpGeneration();  // outstanding handles now point at replaced state
     // The fitted assignment is the routed queries' cluster-reference
@@ -520,53 +613,40 @@ class CategoricalDispatcher final : public EngineDispatcher {
     return report;
   }
 
-  /// Installs a decoded model file as this dispatcher's fitted state
-  /// (Clusterer::FromSnapshot): modes rebuilt from the dump, the shortlist
-  /// provider reassembled from parts — hashers from persisted options +
-  /// seeds, the index adopted verbatim, zero re-signing.
-  Status Adopt(persist::DecodedModel&& model) {
-    LSHC_ASSIGN_OR_RETURN(ModeTable modes, persist::BuildModeTable(model));
-    num_attributes_ = model.shape_primary;
-    if (model.family == persist::ModelFamilyKind::kMinHash) {
-      LSHC_ASSIGN_OR_RETURN(auto routing,
-                            persist::BuildMinHashRouting(std::move(model)));
+  /// Centroids rebuilt from the dump and, for a routed model, the
+  /// shortlist provider reassembled from parts — hashers from persisted
+  /// options + seeds, the index adopted verbatim, zero re-signing.
+  Status Adopt(persist::DecodedModel&& model) override {
+    LSHC_ASSIGN_OR_RETURN(
+        Centroids centroids,
+        DecodedCentroids(model, std::type_identity<Centroids>()));
+    shape_primary_ = model.shape_primary;
+    shape_secondary_ = model.shape_secondary;
+    if (model.family != persist::ModelFamilyKind::kNone) {
+      LSHC_ASSIGN_OR_RETURN(
+          auto routing, FamilyTable<Family>::LoadRouting(std::move(model)));
       fit_assignment_ = std::move(routing.fit_assignment);
-      retained_ = std::make_unique<ClusterShortlistProvider>(
-          ClusterShortlistProvider::FromParts(
-              std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index), std::move(routing.sketches),
-              routing.sketch_max_hamming));
+      retained_ = std::make_unique<Provider>(Provider::FromParts(
+          std::move(routing.family), spec_.engine.num_clusters,
+          std::move(routing.index), std::move(routing.sketches),
+          routing.sketch_max_hamming));
     } else {
       retained_ = nullptr;
       fit_assignment_ = {};
     }
-    modes_ = std::move(modes);
+    model_ = std::move(centroids);
     BumpGeneration();
     return Status::OK();
   }
 
   Result<std::vector<uint32_t>> Predict(
-      const CategoricalDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    return AssignNearest<CategoricalClusteringTraits>(dataset, *modes_,
-                                                      spec_.engine);
+      const Dataset& dataset) const override {
+    return Assign(dataset, /*routed=*/false);
   }
 
   Result<std::vector<uint32_t>> PredictRouted(
-      const CategoricalDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    if (retained_ == nullptr) {
-      return AssignNearest<CategoricalClusteringTraits>(dataset, *modes_,
-                                                        spec_.engine);
-    }
-    return AssignRouted<CategoricalClusteringTraits>(
-        dataset, *modes_, spec_.engine, *retained_, fit_assignment_,
-        [this](const CategoricalDataset& queries, uint32_t item,
-               RoutedScratch& scratch) {
-          queries.PresentTokens(item, &scratch.tokens);
-          retained_->family().ComputeQuerySignature(
-              scratch.tokens, scratch.signature.data());
-        });
+      const Dataset& dataset) const override {
+    return Assign(dataset, /*routed=*/retained_ != nullptr);
   }
 
   Result<IndexHandle> RetainedIndex() const override {
@@ -579,380 +659,77 @@ class CategoricalDispatcher final : public EngineDispatcher {
 
   Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
       const override {
-    if (!modes_.has_value()) return NotFittedSnapshot();
+    if (!model_.has_value()) return NotFittedSnapshot();
     if (retained_ == nullptr) {
       return std::shared_ptr<const serving::FrozenModel>(
-          std::make_shared<serving::internal::FrozenModelImpl<
-              CategoricalClusteringTraits>>(
-              spec_.engine, *modes_, std::nullopt, nullptr, BitSketchTable(),
-              0, std::vector<uint32_t>(), num_attributes_, 0));
+          std::make_shared<serving::internal::FrozenModelImpl<Traits>>(
+              MakeOptions(), *model_, std::nullopt, nullptr, BitSketchTable(),
+              0, std::vector<uint32_t>(), shape_primary_, shape_secondary_));
     }
     return std::shared_ptr<const serving::FrozenModel>(
-        std::make_shared<serving::internal::FrozenModelImpl<
-            CategoricalClusteringTraits, MinHashShortlistFamily>>(
-            spec_.engine, *modes_, retained_->family(),
+        std::make_shared<serving::internal::FrozenModelImpl<Traits, Family>>(
+            MakeOptions(), *model_, retained_->family(),
             std::make_unique<BandedIndex>(*retained_->index()),
             retained_->sketch_enabled() ? retained_->sketches()
                                         : BitSketchTable(),
-            retained_->sketch_max_hamming(), fit_assignment_,
-            num_attributes_, 0));
+            retained_->sketch_max_hamming(), fit_assignment_, shape_primary_,
+            shape_secondary_));
   }
 
-  bool fitted() const override { return modes_.has_value(); }
+  bool fitted() const override { return model_.has_value(); }
 
  private:
-  Status CheckPredictable(const CategoricalDataset& dataset) const {
-    if (!modes_.has_value()) return NotFitted();
+  Options MakeOptions() const {
+    Options options;
+    ApplySpec(spec_, &options);
+    return options;
+  }
+
+  /// Predict (exhaustive) and PredictRouted (through the retained index
+  /// when `routed`) after the shared fitted/non-empty/shape checks.
+  Result<std::vector<uint32_t>> Assign(const Dataset& dataset,
+                                       bool routed) const {
+    if (!model_.has_value()) return NotFitted();
     if (dataset.num_items() == 0) {
       return Status::InvalidArgument("dataset is empty");
     }
-    if (dataset.num_attributes() != num_attributes_) {
-      return Status::InvalidArgument(
-          "Predict dataset has " + std::to_string(dataset.num_attributes()) +
-          " attributes; the fitted model expects " +
-          std::to_string(num_attributes_));
-    }
-    return Status::OK();
+    LSHC_RETURN_NOT_OK(serving::internal::CheckQueryShape(
+        dataset, shape_primary_, shape_secondary_));
+    const Options options = MakeOptions();
+    if (!routed) return AssignNearest<Traits>(dataset, *model_, options);
+    return AssignRouted<Traits>(dataset, *model_, options, *retained_,
+                                fit_assignment_);
   }
 
-  std::optional<ModeTable> modes_;
-  uint32_t num_attributes_ = 0;
-  // Retained fit-time shortlist state (kMinHash + retain_index): the
-  // provider that prepared the index during Fit, plus the fitted
+  std::optional<Centroids> model_;
+  uint32_t shape_primary_ = 0;
+  uint32_t shape_secondary_ = 0;
+  // Retained fit-time shortlist state (family accelerator + retain_index):
+  // the provider that prepared the index during Fit, plus the fitted
   // assignment as the cluster-reference store routed queries dereference.
   // Heap-allocated so handles and routed queries survive Clusterer moves.
-  std::unique_ptr<ClusterShortlistProvider> retained_;
+  std::unique_ptr<Provider> retained_;
   std::vector<uint32_t> fit_assignment_;
 };
 
-/// K-Means cell (kNumeric): exhaustive or SimHash shortlists over a
-/// NumericDataset. The SimHash cell retains its prepared provider
-/// (spec.retain_index) as the model's routed-query state.
-class NumericDispatcher final : public EngineDispatcher {
- public:
-  using EngineDispatcher::EngineDispatcher;
-
-  Result<FitReport> Fit(const NumericDataset& dataset) override {
-    // The engine writes centroids_ only when it returns a result — and
-    // the retained provider is committed only then too — so a rejected
-    // Fit leaves the previously fitted model usable.
-    const KMeansOptions options = Options();
-    std::unique_ptr<SimHashShortlistProvider> retained;
-    FitReport report;
-    switch (spec_.accelerator) {
-      case Accelerator::kExhaustive: {
-        ExhaustiveProvider provider;
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<NumericClusteringTraits>(
-                                  dataset, options, provider, &centroids_)));
-        break;
-      }
-      case Accelerator::kSimHash: {
-        auto provider = std::make_unique<SimHashShortlistProvider>(
-            spec_.simhash, spec_.engine.num_clusters);
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<NumericClusteringTraits>(
-                                  dataset, options, *provider, &centroids_,
-                                  spec_.retain_index)));
-        if (spec_.retain_index && provider->index() != nullptr) {
-          retained = std::move(provider);
-        }
-        break;
-      }
-      default:
-        return UnsupportedAccelerator();
-    }
-    dimensions_ = dataset.dimensions();
-    fitted_ = true;
-    retained_ = std::move(retained);
-    BumpGeneration();  // outstanding handles now point at replaced state
-    // The fitted assignment is the routed queries' cluster-reference
-    // store; without a retained index nothing can read it, so don't
-    // hold an n-sized copy for the model's lifetime.
-    if (retained_ != nullptr) {
-      fit_assignment_ = report.result.assignment;
-    } else {
-      fit_assignment_ = {};
-    }
-    return report;
+/// The dispatcher cell of a validated spec's modality — the one factory
+/// behind Clusterer::Create and Clusterer::FromSnapshot.
+std::unique_ptr<EngineDispatcher> MakeDispatcher(const ClustererSpec& spec) {
+  switch (spec.modality) {
+    case Modality::kCategorical:
+    case Modality::kTextBinarized:
+      return std::make_unique<
+          Dispatcher<CategoricalClusteringTraits, MinHashShortlistFamily>>(
+          spec);
+    case Modality::kNumeric:
+      return std::make_unique<
+          Dispatcher<NumericClusteringTraits, SimHashShortlistFamily>>(spec);
+    case Modality::kMixed:
+      return std::make_unique<
+          Dispatcher<MixedClusteringTraits, MixedShortlistFamily>>(spec);
   }
-
-  /// Installs a decoded model file as this dispatcher's fitted state
-  /// (Clusterer::FromSnapshot); see CategoricalDispatcher::Adopt.
-  Status Adopt(persist::DecodedModel&& model) {
-    LSHC_ASSIGN_OR_RETURN(centroids_, persist::BuildCentroidTable(model));
-    dimensions_ = model.shape_primary;
-    if (model.family == persist::ModelFamilyKind::kSimHash) {
-      LSHC_ASSIGN_OR_RETURN(auto routing,
-                            persist::BuildSimHashRouting(std::move(model)));
-      fit_assignment_ = std::move(routing.fit_assignment);
-      retained_ = std::make_unique<SimHashShortlistProvider>(
-          SimHashShortlistProvider::FromParts(
-              std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index), std::move(routing.sketches),
-              routing.sketch_max_hamming));
-    } else {
-      retained_ = nullptr;
-      fit_assignment_ = {};
-    }
-    fitted_ = true;
-    BumpGeneration();
-    return Status::OK();
-  }
-
-  Result<std::vector<uint32_t>> Predict(
-      const NumericDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    return AssignNearest<NumericClusteringTraits>(dataset, centroids_,
-                                                  Options());
-  }
-
-  Result<std::vector<uint32_t>> PredictRouted(
-      const NumericDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    if (retained_ == nullptr) {
-      return AssignNearest<NumericClusteringTraits>(dataset, centroids_,
-                                                    Options());
-    }
-    return AssignRouted<NumericClusteringTraits>(
-        dataset, centroids_, Options(), *retained_, fit_assignment_,
-        [this](const NumericDataset& queries, uint32_t item,
-               RoutedScratch& scratch) {
-          retained_->family().ComputeQuerySignature(
-              queries.Row(item), scratch.signature.data());
-        });
-  }
-
-  Result<IndexHandle> RetainedIndex() const override {
-    if (retained_ == nullptr) return NoRetainedIndex();
-    return MakeHandle(retained_->index(), fit_assignment_,
-                      retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes(),
-                      retained_->SketchMemoryUsageBytes());
-  }
-
-  Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
-      const override {
-    if (!fitted_) return NotFittedSnapshot();
-    if (retained_ == nullptr) {
-      return std::shared_ptr<const serving::FrozenModel>(
-          std::make_shared<
-              serving::internal::FrozenModelImpl<NumericClusteringTraits>>(
-              Options(), centroids_, std::nullopt, nullptr, BitSketchTable(),
-              0, std::vector<uint32_t>(), dimensions_, 0));
-    }
-    return std::shared_ptr<const serving::FrozenModel>(
-        std::make_shared<serving::internal::FrozenModelImpl<
-            NumericClusteringTraits, SimHashShortlistFamily>>(
-            Options(), centroids_, retained_->family(),
-            std::make_unique<BandedIndex>(*retained_->index()),
-            retained_->sketch_enabled() ? retained_->sketches()
-                                        : BitSketchTable(),
-            retained_->sketch_max_hamming(), fit_assignment_, dimensions_,
-            0));
-  }
-
-  bool fitted() const override { return fitted_; }
-
- private:
-  KMeansOptions Options() const {
-    KMeansOptions options;
-    static_cast<EngineOptions&>(options) = spec_.engine;
-    return options;
-  }
-
-  Status CheckPredictable(const NumericDataset& dataset) const {
-    if (!fitted_) return NotFitted();
-    if (dataset.num_items() == 0) {
-      return Status::InvalidArgument("dataset is empty");
-    }
-    if (dataset.dimensions() != dimensions_) {
-      return Status::InvalidArgument(
-          "Predict dataset has " + std::to_string(dataset.dimensions()) +
-          " dimensions; the fitted model expects " +
-          std::to_string(dimensions_));
-    }
-    return Status::OK();
-  }
-
-  CentroidTable centroids_{0, 0};
-  uint32_t dimensions_ = 0;
-  bool fitted_ = false;
-  std::unique_ptr<SimHashShortlistProvider> retained_;
-  std::vector<uint32_t> fit_assignment_;
-};
-
-/// K-Prototypes cell (kMixed): exhaustive or concatenated MinHash+SimHash
-/// shortlists over a MixedDataset. The mixed-concat cell retains its
-/// prepared provider (spec.retain_index) as the model's routed-query
-/// state.
-class MixedDispatcher final : public EngineDispatcher {
- public:
-  using EngineDispatcher::EngineDispatcher;
-
-  Result<FitReport> Fit(const MixedDataset& dataset) override {
-    // Built into locals and only moved into the members on success: a
-    // rejected Fit leaves the previously fitted model usable.
-    const KPrototypesOptions options = Options();
-    MixedClusteringTraits::Centroids prototypes{
-        ModeTable(spec_.engine.num_clusters, dataset.num_categorical()),
-        CentroidTable(spec_.engine.num_clusters, dataset.num_numeric())};
-    std::unique_ptr<MixedShortlistProvider> retained;
-    FitReport report;
-    switch (spec_.accelerator) {
-      case Accelerator::kExhaustive: {
-        ExhaustiveProvider provider;
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<MixedClusteringTraits>(
-                                  dataset, options, provider, &prototypes)));
-        break;
-      }
-      case Accelerator::kMixedConcat: {
-        auto provider = std::make_unique<MixedShortlistProvider>(
-            spec_.mixed_index, spec_.engine.num_clusters);
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<MixedClusteringTraits>(
-                                  dataset, options, *provider, &prototypes,
-                                  spec_.retain_index)));
-        if (spec_.retain_index && provider->index() != nullptr) {
-          retained = std::move(provider);
-        }
-        break;
-      }
-      default:
-        return UnsupportedAccelerator();
-    }
-    num_categorical_ = dataset.num_categorical();
-    num_numeric_ = dataset.num_numeric();
-    prototypes_ = std::move(prototypes);
-    retained_ = std::move(retained);
-    BumpGeneration();  // outstanding handles now point at replaced state
-    // The fitted assignment is the routed queries' cluster-reference
-    // store; without a retained index nothing can read it, so don't
-    // hold an n-sized copy for the model's lifetime.
-    if (retained_ != nullptr) {
-      fit_assignment_ = report.result.assignment;
-    } else {
-      fit_assignment_ = {};
-    }
-    return report;
-  }
-
-  /// Installs a decoded model file as this dispatcher's fitted state
-  /// (Clusterer::FromSnapshot); see CategoricalDispatcher::Adopt.
-  Status Adopt(persist::DecodedModel&& model) {
-    LSHC_ASSIGN_OR_RETURN(ModeTable modes, persist::BuildModeTable(model));
-    LSHC_ASSIGN_OR_RETURN(CentroidTable centroids,
-                          persist::BuildCentroidTable(model));
-    num_categorical_ = model.shape_primary;
-    num_numeric_ = model.shape_secondary;
-    if (model.family == persist::ModelFamilyKind::kMixedConcat) {
-      LSHC_ASSIGN_OR_RETURN(auto routing,
-                            persist::BuildMixedRouting(std::move(model)));
-      fit_assignment_ = std::move(routing.fit_assignment);
-      retained_ = std::make_unique<MixedShortlistProvider>(
-          MixedShortlistProvider::FromParts(
-              std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index), std::move(routing.sketches),
-              routing.sketch_max_hamming));
-    } else {
-      retained_ = nullptr;
-      fit_assignment_ = {};
-    }
-    prototypes_ = MixedClusteringTraits::Centroids{std::move(modes),
-                                                   std::move(centroids)};
-    BumpGeneration();
-    return Status::OK();
-  }
-
-  Result<std::vector<uint32_t>> Predict(
-      const MixedDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    return AssignNearest<MixedClusteringTraits>(dataset, *prototypes_,
-                                                Options());
-  }
-
-  Result<std::vector<uint32_t>> PredictRouted(
-      const MixedDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    if (retained_ == nullptr) {
-      return AssignNearest<MixedClusteringTraits>(dataset, *prototypes_,
-                                                  Options());
-    }
-    return AssignRouted<MixedClusteringTraits>(
-        dataset, *prototypes_, Options(), *retained_, fit_assignment_,
-        [this](const MixedDataset& queries, uint32_t item,
-               RoutedScratch& scratch) {
-          queries.categorical().PresentTokens(item, &scratch.tokens);
-          retained_->family().ComputeQuerySignature(
-              scratch.tokens, queries.numeric().Row(item),
-              &scratch.centered, scratch.signature.data());
-        });
-  }
-
-  Result<IndexHandle> RetainedIndex() const override {
-    if (retained_ == nullptr) return NoRetainedIndex();
-    return MakeHandle(retained_->index(), fit_assignment_,
-                      retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes(),
-                      retained_->SketchMemoryUsageBytes());
-  }
-
-  Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
-      const override {
-    if (!prototypes_.has_value()) return NotFittedSnapshot();
-    if (retained_ == nullptr) {
-      return std::shared_ptr<const serving::FrozenModel>(
-          std::make_shared<
-              serving::internal::FrozenModelImpl<MixedClusteringTraits>>(
-              Options(), *prototypes_, std::nullopt, nullptr,
-              BitSketchTable(), 0, std::vector<uint32_t>(), num_categorical_,
-              num_numeric_));
-    }
-    return std::shared_ptr<const serving::FrozenModel>(
-        std::make_shared<serving::internal::FrozenModelImpl<
-            MixedClusteringTraits, MixedShortlistFamily>>(
-            Options(), *prototypes_, retained_->family(),
-            std::make_unique<BandedIndex>(*retained_->index()),
-            retained_->sketch_enabled() ? retained_->sketches()
-                                        : BitSketchTable(),
-            retained_->sketch_max_hamming(), fit_assignment_,
-            num_categorical_, num_numeric_));
-  }
-
-  bool fitted() const override { return prototypes_.has_value(); }
-
- private:
-  KPrototypesOptions Options() const {
-    KPrototypesOptions options;
-    static_cast<EngineOptions&>(options) = spec_.engine;
-    options.gamma = spec_.gamma;
-    return options;
-  }
-
-  Status CheckPredictable(const MixedDataset& dataset) const {
-    if (!prototypes_.has_value()) return NotFitted();
-    if (dataset.num_items() == 0) {
-      return Status::InvalidArgument("dataset is empty");
-    }
-    if (dataset.num_categorical() != num_categorical_ ||
-        dataset.num_numeric() != num_numeric_) {
-      return Status::InvalidArgument(
-          "Predict dataset has " + std::to_string(dataset.num_categorical()) +
-          " categorical + " + std::to_string(dataset.num_numeric()) +
-          " numeric attributes; the fitted model expects " +
-          std::to_string(num_categorical_) + " + " +
-          std::to_string(num_numeric_));
-    }
-    return Status::OK();
-  }
-
-  std::optional<MixedClusteringTraits::Centroids> prototypes_;
-  uint32_t num_categorical_ = 0;
-  uint32_t num_numeric_ = 0;
-  std::unique_ptr<MixedShortlistProvider> retained_;
-  std::vector<uint32_t> fit_assignment_;
-};
+  return nullptr;  // unreachable: ValidateClustererSpec rejects the rest
+}
 
 }  // namespace
 }  // namespace internal
@@ -1013,20 +790,7 @@ Clusterer& Clusterer::operator=(Clusterer&&) noexcept = default;
 
 Result<Clusterer> Clusterer::Create(const ClustererSpec& spec) {
   LSHC_RETURN_NOT_OK(ValidateClustererSpec(spec));
-  std::unique_ptr<internal::EngineDispatcher> dispatcher;
-  switch (spec.modality) {
-    case Modality::kCategorical:
-    case Modality::kTextBinarized:
-      dispatcher = std::make_unique<internal::CategoricalDispatcher>(spec);
-      break;
-    case Modality::kNumeric:
-      dispatcher = std::make_unique<internal::NumericDispatcher>(spec);
-      break;
-    case Modality::kMixed:
-      dispatcher = std::make_unique<internal::MixedDispatcher>(spec);
-      break;
-  }
-  return Clusterer(std::move(dispatcher));
+  return Clusterer(internal::MakeDispatcher(spec));
 }
 
 Result<Clusterer> Clusterer::FromSnapshot(const std::string& path) {
@@ -1071,29 +835,10 @@ Result<Clusterer> Clusterer::FromSnapshot(const std::string& path) {
   }
   LSHC_RETURN_NOT_OK(
       ValidateClustererSpec(spec).WithContext("model file '" + path + "'"));
-  std::unique_ptr<internal::EngineDispatcher> dispatcher;
-  Status adopted = Status::OK();
-  switch (model.modality) {
-    case persist::ModelModality::kCategorical: {
-      auto d = std::make_unique<internal::CategoricalDispatcher>(spec);
-      adopted = d->Adopt(std::move(model));
-      dispatcher = std::move(d);
-      break;
-    }
-    case persist::ModelModality::kNumeric: {
-      auto d = std::make_unique<internal::NumericDispatcher>(spec);
-      adopted = d->Adopt(std::move(model));
-      dispatcher = std::move(d);
-      break;
-    }
-    case persist::ModelModality::kMixed: {
-      auto d = std::make_unique<internal::MixedDispatcher>(spec);
-      adopted = d->Adopt(std::move(model));
-      dispatcher = std::move(d);
-      break;
-    }
-  }
-  LSHC_RETURN_NOT_OK(adopted.WithContext("model file '" + path + "'"));
+  std::unique_ptr<internal::EngineDispatcher> dispatcher =
+      internal::MakeDispatcher(spec);
+  LSHC_RETURN_NOT_OK(dispatcher->Adopt(std::move(model))
+                         .WithContext("model file '" + path + "'"));
   return Clusterer(std::move(dispatcher));
 }
 

@@ -8,8 +8,9 @@
 /// The paper positions canopies as the classic alternative to its LSH
 /// index for pruning the cluster search space; this module implements
 /// them so the two accelerators can be compared head-to-head
-/// (core/canopy_kmodes.h plugs canopies into the same engine hook as the
-/// MinHash index, and bench/ext_related_baselines.cpp runs the fight).
+/// (core/canopy_shortlist_index.h plugs canopies into the same engine
+/// hook as the MinHash index, and bench/ext_related_baselines.cpp runs the
+/// fight).
 ///
 /// Construction (the original algorithm):
 ///   while candidate centers remain:

@@ -43,11 +43,12 @@
 /// shards, each shard is cut into `EngineOptions::chunk_size`-item
 /// chunks, and the chunks are dispatched to a small worker pool
 /// (util/thread_pool.h) when EngineOptions::num_threads > 1. A shard is
-/// the slice a future node / NUMA domain would own: it carries its own
-/// replica handle of the centroid-side shortlist state and its own query
-/// scratch, so nothing about a shard's work references pool-global
-/// mutable state. Determinism is preserved by construction — every
-/// (num_shards x num_threads) combination produces bit-identical
+/// the slice a future node / NUMA domain would own. Shards share the
+/// provider's read-only query state (index, sketches, family) and each
+/// worker owns one query scratch and shortlist buffer, so a query's only
+/// mutable state is its worker's. Determinism is preserved by
+/// construction — every (num_shards x num_threads) combination produces
+/// bit-identical
 /// assignments, costs and move counts, and `num_shards = 1` *is* the
 /// historical flat decomposition, not an emulation of it:
 ///
@@ -66,16 +67,16 @@
 ///    reported numbers.
 ///
 /// Providers that opt into parallel queries expose `MakeScratch()` and a
-/// const `GetCandidates(item, assignment, scratch, out)`; the engine gives
-/// every (shard, worker) pair its own scratch. Providers that additionally
-/// expose `MakeReplica()` (see core/shortlist_provider.h) hand each shard
-/// a replica handle of their read-only query state — on one node every
-/// replica aliases the same index, but the handle is the seam where
-/// multi-node scale-out substitutes a per-shard copy. Legacy
-/// single-threaded providers (a non-const 3-argument `GetCandidates`)
-/// still work — the engine detects them and runs their passes
-/// sequentially on the live assignment array, preserving their historical
-/// in-place semantics (the shard plan has no observable effect there).
+/// const `GetCandidates(item, assignment, scratch, out)` (the probe kernel
+/// of core/shortlist_provider.h, seeded with the item's own cluster); every
+/// shard queries the same `const Provider&`, and the engine gives each
+/// worker its own scratch — scratch contents never influence results.
+/// Every shortlist is scored by BestClusterOf, the scorer routed serving
+/// shares (serving/routing.h). Legacy single-threaded providers (a
+/// non-const 3-argument `GetCandidates`) still work — the engine detects
+/// them and runs their passes sequentially on the live assignment array,
+/// preserving their historical in-place semantics (the shard plan has no
+/// observable effect there).
 
 #include <algorithm>
 #include <atomic>
@@ -135,8 +136,8 @@ struct EngineOptions {
   /// bit-identical results.
   uint32_t num_threads = 1;
   /// Item-space shards of the two-level (shard -> chunk) decomposition.
-  /// Each shard owns a contiguous item slice, a replica handle of the
-  /// centroid-side shortlist state and its own query scratch. Must be
+  /// Each shard owns a contiguous item slice; all shards query the same
+  /// read-only provider through per-worker scratch. Must be
   /// >= 1; any value produces bit-identical results (1 = the historical
   /// flat decomposition). Values above the flat chunk count
   /// (ceil(n / chunk_size)) are clamped to it — the excess shards could
@@ -211,6 +212,37 @@ uint32_t BestClusterExhaustive(const typename Traits::Dataset& dataset,
                                               Traits::kInfiniteDistance);
   for (uint32_t cluster = 0; cluster < k; ++cluster) {
     if (cluster == seed_cluster) continue;
+    const typename Traits::DistanceType distance =
+        Traits::template ComputeDistance<EarlyExit>(
+            dataset, centroids, options, item, cluster, best_distance);
+    if (distance < best_distance) {
+      best_distance = distance;
+      best_cluster = cluster;
+    }
+  }
+  return best_cluster;
+}
+
+/// Best cluster for `item` among a non-empty `shortlist`, scored in order:
+/// the first entry exactly (ComputeDistance<false>), the rest with
+/// ComputeDistance<EarlyExit> bounded by the best so far; strict
+/// improvement decides, so ties keep the earliest entry. The engine's
+/// refinement passes (shortlist front = the item's current cluster) and
+/// routed serving (shortlist sorted ascending, Predict's lowest-id tie
+/// rule) share this one scorer.
+template <typename Traits, bool EarlyExit>
+uint32_t BestClusterOf(const typename Traits::Dataset& dataset,
+                       const typename Traits::Centroids& centroids,
+                       const typename Traits::Options& options, uint32_t item,
+                       std::span<const uint32_t> shortlist) {
+  LSHC_DCHECK(!shortlist.empty()) << "BestClusterOf needs a candidate";
+  uint32_t best_cluster = shortlist.front();
+  typename Traits::DistanceType best_distance =
+      Traits::template ComputeDistance<false>(dataset, centroids, options,
+                                              item, best_cluster,
+                                              Traits::kInfiniteDistance);
+  for (size_t i = 1; i < shortlist.size(); ++i) {
+    const uint32_t cluster = shortlist[i];
     const typename Traits::DistanceType distance =
         Traits::template ComputeDistance<EarlyExit>(
             dataset, centroids, options, item, cluster, best_distance);
@@ -320,19 +352,6 @@ struct ProviderScratch<Provider> {
   using type = decltype(std::declval<const Provider&>().MakeScratch());
 };
 
-/// Replica-handle type of a provider: providers exposing MakeReplica()
-/// hand each shard a replica of their read-only query state; everything
-/// else gets the engine-supplied fallback (a thin provider reference).
-template <typename Provider, typename Fallback>
-struct ProviderReplica {
-  using type = Fallback;
-};
-template <typename Provider, typename Fallback>
-  requires requires(const Provider& p) { p.MakeReplica(); }
-struct ProviderReplica<Provider, Fallback> {
-  using type = decltype(std::declval<const Provider&>().MakeReplica());
-};
-
 }  // namespace internal
 
 /// \brief The unified refinement engine. See the file comment.
@@ -422,19 +441,11 @@ class ClusteringEngine {
         ShardPlan::Clamped(n, options.num_shards, options.chunk_size);
     ShardedAccumulator<ChunkStats> accumulator;
 
-    // Shard-local query state for parallel-capable shortlist providers:
-    // each shard owns a replica handle of the provider's read-only query
-    // state plus one scratch slot per worker (filled lazily; see
-    // ShardState) — nothing a shard's queries touch is pool-global.
-    [[maybe_unused]] std::vector<ShardState> shard_states;
+    // Per-worker query state for parallel-capable shortlist providers
+    // (see WorkerState); every shard queries the same const provider.
+    [[maybe_unused]] std::vector<WorkerState> workers;
     if constexpr (!Provider::kExhaustive && kParallelProvider) {
-      shard_states.reserve(plan.num_shards());
-      for (uint32_t s = 0; s < plan.num_shards(); ++s) {
-        ShardState state{MakeQueryHandle(provider), {}, {}};
-        state.scratches.resize(num_threads);
-        state.shortlists.resize(num_threads);
-        shard_states.push_back(std::move(state));
-      }
+      workers.resize(num_threads);
     }
 
     // Cooperative cancellation: one latch shared by every pass of the run.
@@ -552,9 +563,9 @@ class ClusteringEngine {
           std::copy(result.assignment.begin(), result.assignment.end(),
                     snapshot.begin());
           moves = ShortlistPass<kEarlyExit>(
-              dataset, centroids, options, snapshot, result.assignment, plan,
-              pool, shard_states, accumulator, &shortlist_total,
-              &pass_evaluated, &pass_pruned, cancel);
+              dataset, centroids, options, provider, snapshot,
+              result.assignment, plan, pool, workers, accumulator,
+              &shortlist_total, &pass_evaluated, &pass_pruned, cancel);
         } else {
           if (!snapshot.empty()) {
             std::copy(result.assignment.begin(), result.assignment.end(),
@@ -647,54 +658,16 @@ class ClusteringEngine {
   static constexpr bool kParallelProvider =
       requires(const Provider& p) { p.MakeScratch(); };
 
-  /// True when the provider hands out shard replica handles of its
-  /// read-only query state (core/shortlist_provider.h). Providers without
-  /// one are wrapped in ProviderRef — same calls, provider-global state.
-  static constexpr bool kHasReplica =
-      requires(const Provider& p) { p.MakeReplica(); };
-
   using Scratch = typename internal::ProviderScratch<Provider>::type;
 
-  /// Thin query handle for parallel providers without MakeReplica.
-  struct ProviderRef {
-    const Provider* provider = nullptr;
-
-    void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
-                       Scratch& scratch, std::vector<uint32_t>* out) const {
-      provider->GetCandidates(item, assignment, scratch, out);
-    }
-
-    Scratch MakeScratch() const { return provider->MakeScratch(); }
-  };
-
-  /// What a shard queries through: the provider's replica handle when it
-  /// offers one, a plain provider reference otherwise.
-  using QueryHandle =
-      typename internal::ProviderReplica<Provider, ProviderRef>::type;
-
-  static QueryHandle MakeQueryHandle(const Provider& provider) {
-    if constexpr (kHasReplica) {
-      return provider.MakeReplica();
-    } else {
-      return ProviderRef{&provider};
-    }
-  }
-
-  /// Everything a shard owns besides its item slice: the replica handle
-  /// of the centroid-side shortlist state and per-worker query scratch
-  /// (dedup stamps + shortlist buffers). Indexed by shard; the per-worker
-  /// vectors are indexed by the pool's stable worker id. Scratches are
-  /// materialised lazily, on the worker that first runs one of the
-  /// shard's chunks: scratch contents never influence results (queries
-  /// epoch-reset them), so only (shard, worker) pairs that actually
-  /// execute pay the k-sized stamp array. Together with the shard-count
-  /// clamp in Run (shards <= flat chunk count), total shard-state
-  /// bookkeeping is bounded by the number of work units, not by the
-  /// requested shard count.
-  struct ShardState {
-    QueryHandle handle;
-    std::vector<std::optional<Scratch>> scratches;
-    std::vector<std::vector<uint32_t>> shortlists;
+  /// One worker's query state (dedup stamps + shortlist buffer), indexed
+  /// by the pool's stable worker id. The scratch is materialised lazily,
+  /// on the worker's first chunk: scratch contents never influence results
+  /// (queries epoch-reset them), so only workers that actually run pay the
+  /// k-sized stamp arrays.
+  struct WorkerState {
+    std::optional<Scratch> scratch;
+    std::vector<uint32_t> shortlist;
   };
 
   /// Per-chunk accumulator, merged in shard order after a pass (see
@@ -715,31 +688,6 @@ class ClusteringEngine {
     } else {
       fn(std::bool_constant<false>{});
     }
-  }
-
-  /// Best cluster for `item` among `shortlist` (which contains
-  /// `seed_cluster`, the item's current cluster).
-  template <bool EarlyExit>
-  static uint32_t BestClusterShortlist(const Dataset& dataset,
-                                       const Centroids& centroids,
-                                       const Options& options, uint32_t item,
-                                       uint32_t seed_cluster,
-                                       std::span<const uint32_t> shortlist) {
-    uint32_t best_cluster = seed_cluster;
-    DistanceType best_distance = Traits::template ComputeDistance<false>(
-        dataset, centroids, options, item, seed_cluster,
-        Traits::kInfiniteDistance);
-    for (const uint32_t cluster : shortlist) {
-      if (cluster == seed_cluster) continue;
-      const DistanceType distance =
-          Traits::template ComputeDistance<EarlyExit>(
-              dataset, centroids, options, item, cluster, best_distance);
-      if (distance < best_distance) {
-        best_distance = distance;
-        best_cluster = cluster;
-      }
-    }
-    return best_cluster;
   }
 
   /// One exhaustive chunk: items [begin, end) against all k clusters.
@@ -802,15 +750,14 @@ class ClusteringEngine {
     return moves;
   }
 
-  /// One shortlist chunk (parallel-capable providers): queries through the
-  /// owning shard's replica `handle` against the frozen `reference`
-  /// snapshot, writes into the live assignment. Local accumulators for the
-  /// same false-sharing reason as ExhaustiveChunk.
+  /// One shortlist chunk (parallel-capable providers): queries `provider`
+  /// against the frozen `reference` snapshot, writes into the live
+  /// assignment. Local accumulators for the same false-sharing reason as
+  /// ExhaustiveChunk.
   template <bool EarlyExit>
   static void ShortlistChunk(const Dataset& dataset,
                              const Centroids& centroids,
-                             const Options& options,
-                             const QueryHandle& handle,
+                             const Options& options, const Provider& provider,
                              std::span<const uint32_t> reference,
                              std::span<uint32_t> assignment, uint32_t begin,
                              uint32_t end, Scratch& scratch,
@@ -820,7 +767,7 @@ class ClusteringEngine {
     uint64_t shortlist_total = 0;
     uint64_t pruned_total = 0;
     for (uint32_t item = begin; item < end; ++item) {
-      handle.GetCandidates(item, reference, scratch, &shortlist);
+      provider.GetCandidates(item, reference, scratch, &shortlist);
       // Every surviving shortlist entry gets one exact distance: the seed
       // cluster (always the shortlist's first entry) exactly once, the
       // rest in the scan.
@@ -829,8 +776,10 @@ class ClusteringEngine {
         pruned_total += scratch.last_pruned;
       }
       const uint32_t seed_cluster = assignment[item];
-      const uint32_t best = BestClusterShortlist<EarlyExit>(
-          dataset, centroids, options, item, seed_cluster, shortlist);
+      LSHC_DCHECK(shortlist.front() == seed_cluster)
+          << "providers seed the shortlist with the item's own cluster";
+      const uint32_t best = BestClusterOf<Traits, EarlyExit>(
+          dataset, centroids, options, item, shortlist);
       if (best != seed_cluster) {
         assignment[item] = best;
         ++moves;
@@ -843,14 +792,15 @@ class ClusteringEngine {
   }
 
   /// Full shortlist pass for parallel-capable providers: every chunk runs
-  /// against its shard's replica handle and (shard, worker) scratch, and
-  /// the per-chunk stats merge through the accumulator in shard order.
+  /// against the shared provider with its worker's scratch, and the
+  /// per-chunk stats merge through the accumulator in shard order.
   template <bool EarlyExit>
   static uint64_t ShortlistPass(
       const Dataset& dataset, const Centroids& centroids,
-      const Options& options, std::span<const uint32_t> reference,
-      std::span<uint32_t> assignment, const ShardPlan& plan,
-      ThreadPool* pool, std::vector<ShardState>& shard_states,
+      const Options& options, const Provider& provider,
+      std::span<const uint32_t> reference, std::span<uint32_t> assignment,
+      const ShardPlan& plan, ThreadPool* pool,
+      std::vector<WorkerState>& workers,
       ShardedAccumulator<ChunkStats>& accumulator,
       uint64_t* shortlist_total, uint64_t* evaluated, uint64_t* pruned,
       const CancelPoll& cancel) {
@@ -859,17 +809,17 @@ class ClusteringEngine {
         plan, pool,
         [&](const ShardPlan::Chunk& chunk, uint32_t index, uint32_t worker) {
           if (cancel.Cancelled()) return;
-          ShardState& state = shard_states[chunk.shard];
-          // Lazy scratch materialisation is race-free: slot (shard,
-          // worker) is only ever touched from worker `worker`, and the
-          // slot vector was sized up front (no reallocation).
-          std::optional<Scratch>& scratch = state.scratches[worker];
-          if (!scratch.has_value()) scratch.emplace(state.handle.MakeScratch());
-          ShortlistChunk<EarlyExit>(dataset, centroids, options,
-                                    state.handle, reference, assignment,
-                                    chunk.begin, chunk.end, *scratch,
-                                    state.shortlists[worker],
-                                    accumulator.slot(index));
+          // Lazy scratch materialisation is race-free: state `worker` is
+          // only ever touched from that worker, and the vector was sized
+          // up front (no reallocation).
+          WorkerState& state = workers[worker];
+          if (!state.scratch.has_value()) {
+            state.scratch.emplace(provider.MakeScratch());
+          }
+          ShortlistChunk<EarlyExit>(dataset, centroids, options, provider,
+                                    reference, assignment, chunk.begin,
+                                    chunk.end, *state.scratch,
+                                    state.shortlist, accumulator.slot(index));
         });
     uint64_t moves = 0;
     accumulator.MergeInOrder([&](const ChunkStats& stats) {
@@ -903,9 +853,19 @@ class ClusteringEngine {
       provider.GetCandidates(item, assignment, &shortlist);
       *shortlist_total += shortlist.size();
       *evaluated += shortlist.size();
+      // Legacy providers owe no order: move the item's own cluster to the
+      // front (entering it if absent) so BestClusterOf scores it first and
+      // the rest in the provider's order.
       const uint32_t seed_cluster = assignment[item];
-      const uint32_t best = BestClusterShortlist<EarlyExit>(
-          dataset, centroids, options, item, seed_cluster, shortlist);
+      const auto seed =
+          std::find(shortlist.begin(), shortlist.end(), seed_cluster);
+      if (seed == shortlist.end()) {
+        shortlist.insert(shortlist.begin(), seed_cluster);
+      } else {
+        std::rotate(shortlist.begin(), seed, seed + 1);
+      }
+      const uint32_t best = BestClusterOf<Traits, EarlyExit>(
+          dataset, centroids, options, item, shortlist);
       if (best != seed_cluster) {
         assignment[item] = best;
         ++moves;
@@ -916,8 +876,8 @@ class ClusteringEngine {
 };
 
 /// Runs the categorical (K-Modes) engine with candidate clusters supplied
-/// by `provider` — kept as the historical entry point; MH-K-Modes wraps it
-/// in core/mh_kmodes.h.
+/// by `provider` — kept as the historical entry point of direct engine
+/// callers (the streaming bootstrap, tests and benches).
 template <typename Provider>
 Result<ClusteringResult> RunEngine(const CategoricalDataset& dataset,
                                    const EngineOptions& options,

@@ -7,7 +7,8 @@
 ///
 /// The paper's framework is algorithm-agnostic for centroid-based
 /// clustering (§I, §VI names numeric data as future work); this module is
-/// the numeric substrate that core/lsh_kmeans.h accelerates with SimHash.
+/// the numeric substrate that core/simhash_shortlist_index.h accelerates
+/// with SimHash.
 /// The refinement loop itself lives in ClusteringEngine — K-Means only
 /// supplies the squared-L2 distance and mean-centroid update.
 

@@ -69,10 +69,9 @@ class CanopyShortlistProvider {
   /// its current cluster. Thread-safe given a private `scratch`.
   void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
                      Scratch& scratch, std::vector<uint32_t>* out) const {
-    CollectCandidateClusters(item, assignment, scratch, out,
-                             [&](auto&& sink) {
-                               index_->VisitCanopyPeers(item, sink);
-                             });
+    CollectShortlist(
+        [&](auto&& sink) { index_->VisitCanopyPeers(item, sink); },
+        assignment, scratch, out, assignment[item]);
   }
 
   /// Sequential convenience overload using the provider-owned scratch.

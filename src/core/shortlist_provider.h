@@ -10,9 +10,9 @@
 ///
 ///  * MinHashShortlistFamily (core/cluster_shortlist_index.h) — Jaccard
 ///    over present tokens, categorical data.
-///  * SimHashShortlistFamily (core/lsh_kmeans.h) — angular similarity,
-///    numeric data.
-///  * MixedShortlistFamily (core/lsh_kprototypes.h) — concatenated
+///  * SimHashShortlistFamily (core/simhash_shortlist_index.h) — angular
+///    similarity, numeric data.
+///  * MixedShortlistFamily (core/mixed_shortlist_index.h) — concatenated
 ///    MinHash + SimHash signatures over a heterogeneous band layout,
 ///    mixed data.
 ///
@@ -42,6 +42,12 @@
 /// them from many worker threads at once (one scratch per worker); the
 /// scratch-less overload uses a provider-owned scratch for sequential
 /// callers.
+///
+/// Every shortlist in the library — engine refinement here and in the
+/// canopy provider, external queries, streaming ingest and routed serving
+/// (serving/routing.h) — is built by the one probe kernel below,
+/// CollectShortlist: walk the peers, map each to its cluster, deduplicate,
+/// optionally sketch-screen.
 ///
 /// The family concept:
 /// \code
@@ -73,6 +79,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "lsh/banded_index.h"
@@ -92,8 +99,8 @@ inline constexpr uint32_t kSignatureChunkSize = 256;
 
 /// \brief Per-caller query state for epoch-stamped cluster deduplication:
 /// no per-query allocation, O(1) reset. Shared by every shortlist-style
-/// provider (LSH families here, canopies in core/canopy_kmodes.h); the
-/// engine makes one per worker thread.
+/// provider (LSH families here, canopies in core/canopy_shortlist_index.h);
+/// the engine makes one per worker thread.
 struct ClusterDedupScratch {
   std::vector<uint32_t> cluster_stamp;
   /// Second stamp plane for the sketch prefilter: marks clusters that have
@@ -129,69 +136,97 @@ inline void BumpDedupEpoch(ClusterDedupScratch& scratch) {
   }
 }
 
-/// Collects into `out` the deduplicated clusters (per `assignment`) of the
-/// peers that `visit_peers` enumerates, first entry being `item`'s own
-/// current cluster. The one dedup loop behind every shortlist provider.
+/// CollectShortlist seed meaning "no seed": external queries have no own
+/// cluster (no real cluster has this id).
+inline constexpr uint32_t kNoSeedCluster = ~0u;
+
+/// The unscreened CollectShortlist instantiation: every peer passes.
+struct NoScreen {
+  constexpr bool operator()(uint32_t /*peer*/) const { return true; }
+};
+
+/// Sketch prefilter screen: a peer passes iff the Hamming distance between
+/// its packed sketch and the query's is at most `max_hamming`.
+struct SketchScreen {
+  const BitSketchTable& sketches;
+  const uint64_t* query_sketch;  ///< sketches.words() packed words
+  uint64_t max_hamming;
+
+  bool operator()(uint32_t peer) const {
+    return sketches.HammingTo(query_sketch, peer) <= max_hamming;
+  }
+};
+
+/// The probe kernel (Alg. 2's shortlist step): collects into `out` the
+/// deduplicated clusters (per `assignment`) of the peers `visit_peers`
+/// enumerates, in first-seen order. `seed_cluster`, unless kNoSeedCluster,
+/// is entered first and unconditionally — item queries pass the item's own
+/// cluster, so their shortlist is never empty even for degenerate banding.
+///
+/// A peer for which `screen(peer)` is false does not propose its cluster;
+/// peers of clusters already in `out` skip the screen (it could not change
+/// anything). On return `scratch.last_pruned` counts the clusters whose
+/// *every* proposing peer was screened out — exactly the clusters whose
+/// exact distance evaluations were avoided (0 for NoScreen).
 ///
 /// \param visit_peers callable invoked as visit_peers(sink) where sink is
-///        a callable taking a peer item id; peers may repeat freely
-template <typename VisitPeersFn>
-void CollectCandidateClusters(uint32_t item,
-                              std::span<const uint32_t> assignment,
-                              ClusterDedupScratch& scratch,
-                              std::vector<uint32_t>* out,
-                              VisitPeersFn&& visit_peers) {
+///        a callable taking a peer item id; peers may repeat freely, and a
+///        caller that must skip peers filters them here
+template <typename VisitPeersFn, typename ScreenFn = NoScreen>
+void CollectShortlist(VisitPeersFn&& visit_peers,
+                      std::span<const uint32_t> assignment,
+                      ClusterDedupScratch& scratch, std::vector<uint32_t>* out,
+                      uint32_t seed_cluster = kNoSeedCluster,
+                      ScreenFn screen = {}) {
+  constexpr bool kScreened = !std::is_same_v<ScreenFn, NoScreen>;
   out->clear();
   BumpDedupEpoch(scratch);
-  // The current cluster is always a candidate (the item collides with
-  // itself, but make it unconditional so the contract holds even for
-  // degenerate banding).
-  const uint32_t current = assignment[item];
-  scratch.cluster_stamp[current] = scratch.epoch;
-  out->push_back(current);
-  visit_peers([&](uint32_t other) {
-    const uint32_t cluster = assignment[other];
-    if (scratch.cluster_stamp[cluster] != scratch.epoch) {
-      scratch.cluster_stamp[cluster] = scratch.epoch;
-      out->push_back(cluster);
-    }
-  });
-  scratch.last_pruned = 0;
-}
-
-/// CollectCandidateClusters with a per-peer sketch screen: a peer for which
-/// `screen(peer)` returns false does not propose its cluster. The item's
-/// own cluster is still entered unconditionally, and peers of clusters that
-/// already survived skip the screen entirely (their Hamming test could not
-/// change anything). On return `scratch.last_pruned` counts the clusters
-/// whose *every* proposing peer was screened out — exactly the clusters
-/// whose exact distance evaluations were avoided.
-template <typename VisitPeersFn, typename ScreenFn>
-void CollectCandidateClustersScreened(uint32_t item,
-                                      std::span<const uint32_t> assignment,
-                                      ClusterDedupScratch& scratch,
-                                      std::vector<uint32_t>* out,
-                                      VisitPeersFn&& visit_peers,
-                                      ScreenFn&& screen) {
-  out->clear();
-  BumpDedupEpoch(scratch);
-  const uint32_t current = assignment[item];
-  scratch.cluster_stamp[current] = scratch.epoch;
-  out->push_back(current);
+  const uint32_t epoch = scratch.epoch;
+  if (seed_cluster != kNoSeedCluster) {
+    scratch.cluster_stamp[seed_cluster] = epoch;
+    out->push_back(seed_cluster);
+  }
   uint64_t pruned = 0;
-  visit_peers([&](uint32_t other) {
-    const uint32_t cluster = assignment[other];
-    if (scratch.cluster_stamp[cluster] == scratch.epoch) return;
-    if (screen(other)) {
-      scratch.cluster_stamp[cluster] = scratch.epoch;
-      out->push_back(cluster);
-      if (scratch.pruned_stamp[cluster] == scratch.epoch) --pruned;
-    } else if (scratch.pruned_stamp[cluster] != scratch.epoch) {
-      scratch.pruned_stamp[cluster] = scratch.epoch;
-      ++pruned;
+  visit_peers([&](uint32_t peer) {
+    const uint32_t cluster = assignment[peer];
+    if (scratch.cluster_stamp[cluster] == epoch) return;
+    if (!screen(peer)) {
+      if constexpr (kScreened) {
+        if (scratch.pruned_stamp[cluster] != epoch) {
+          scratch.pruned_stamp[cluster] = epoch;
+          ++pruned;
+        }
+      }
+      return;
+    }
+    scratch.cluster_stamp[cluster] = epoch;
+    out->push_back(cluster);
+    if constexpr (kScreened) {
+      if (scratch.pruned_stamp[cluster] == epoch) --pruned;
     }
   });
   scratch.last_pruned = pruned;
+}
+
+/// CollectShortlist screened against `sketches` when `query_sketch` is
+/// non-null and unscreened otherwise: the runtime "is the prefilter on?"
+/// switch, hoisted out of the peer loop.
+template <typename VisitPeersFn>
+void CollectShortlistSketched(VisitPeersFn&& visit_peers,
+                              std::span<const uint32_t> assignment,
+                              ClusterDedupScratch& scratch,
+                              std::vector<uint32_t>* out,
+                              uint32_t seed_cluster,
+                              const BitSketchTable& sketches,
+                              const uint64_t* query_sketch,
+                              uint64_t max_hamming) {
+  if (query_sketch == nullptr) {
+    CollectShortlist(visit_peers, assignment, scratch, out, seed_cluster);
+  } else {
+    CollectShortlist(
+        visit_peers, assignment, scratch, out, seed_cluster,
+        SketchScreen{sketches, query_sketch, max_hamming});
+  }
 }
 
 /// \brief Engine provider (see clustering/engine.h) producing LSH cluster
@@ -237,36 +272,6 @@ class ShortlistProvider {
 
   /// A fresh scratch sized for this provider's cluster count.
   Scratch MakeScratch() const { return MakeClusterDedupScratch(num_clusters_); }
-
-  /// \brief A shard's handle on the centroid-side shortlist state: a
-  /// read-only view of the banding index + family, carrying no mutable
-  /// provider state (queries go through caller-owned scratch). The engine
-  /// hands one to every shard of its shard plan, so each shard's query
-  /// path owns its state outright. On a single node every replica aliases
-  /// the same index; the handle is the seam where multi-node scale-out
-  /// substitutes a real per-shard copy.
-  class Replica {
-   public:
-    explicit Replica(const ShortlistProvider* provider)
-        : provider_(provider) {}
-
-    /// Same contract as ShortlistProvider::GetCandidates (const overload).
-    void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
-                       Scratch& scratch, std::vector<uint32_t>* out) const {
-      provider_->GetCandidates(item, assignment, scratch, out);
-    }
-
-    /// A fresh scratch sized for the replicated provider's cluster count.
-    Scratch MakeScratch() const { return provider_->MakeScratch(); }
-
-   private:
-    const ShortlistProvider* provider_;
-  };
-
-  /// A shard replica handle of this provider's read-only query state.
-  /// Valid for the provider's lifetime; Prepare() may run after handles
-  /// were made (the engine creates them before building the index).
-  Replica MakeReplica() const { return Replica(this); }
 
   /// Computes all signatures and builds the banding index (the one-time
   /// pass of Alg. 2). Called by the engine after the initial assignment.
@@ -351,21 +356,11 @@ class ShortlistProvider {
   void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
                      Scratch& scratch, std::vector<uint32_t>* out) const {
     LSHC_DCHECK(index_ != nullptr) << "Prepare() must run before queries";
-    if (!sketches_.empty()) {
-      const uint64_t* query_sketch = sketches_.Row(item);
-      CollectCandidateClustersScreened(
-          item, assignment, scratch, out,
-          [&](auto&& sink) { index_->VisitCandidates(item, sink); },
-          [&](uint32_t other) {
-            return sketches_.HammingTo(query_sketch, other) <=
-                   sketch_max_hamming_;
-          });
-      return;
-    }
-    CollectCandidateClusters(item, assignment, scratch, out,
-                             [&](auto&& sink) {
-                               index_->VisitCandidates(item, sink);
-                             });
+    CollectShortlistSketched(
+        [&](auto&& sink) { index_->VisitCandidates(item, sink); }, assignment,
+        scratch, out, assignment[item], sketches_,
+        sketches_.empty() ? nullptr : sketches_.Row(item),
+        sketch_max_hamming_);
   }
 
   /// Sequential convenience overload using the provider-owned scratch.
@@ -383,45 +378,25 @@ class ShortlistProvider {
                              std::span<const uint32_t> assignment,
                              std::vector<uint32_t>* out) {
     LSHC_CHECK(index_ != nullptr) << "Prepare() must run before queries";
-    out->clear();
-    BumpDedupEpoch(scratch_);
     // The signature buffer lives in the provider so repeated queries (the
     // streaming hot path) never allocate.
     query_signature_.resize(family_.signature_width());
     family_.ComputeQuerySignature(query, query_signature_.data());
     if (!sketches_.empty()) {
-      // External queries have no own-cluster guarantee, so screening may
-      // empty the shortlist; callers already treat an empty shortlist as
-      // "fall back to the exhaustive scan".
       query_sketch_.resize(sketches_.words());
       PackSketchBits(query_signature_.data(), sketches_.width(),
                      query_sketch_.data());
-      uint64_t pruned = 0;
-      index_->VisitCandidatesOfSignature(
-          query_signature_, [&](uint32_t other) {
-            const uint32_t cluster = assignment[other];
-            if (scratch_.cluster_stamp[cluster] == scratch_.epoch) return;
-            if (sketches_.HammingTo(query_sketch_.data(), other) <=
-                sketch_max_hamming_) {
-              scratch_.cluster_stamp[cluster] = scratch_.epoch;
-              out->push_back(cluster);
-              if (scratch_.pruned_stamp[cluster] == scratch_.epoch) --pruned;
-            } else if (scratch_.pruned_stamp[cluster] != scratch_.epoch) {
-              scratch_.pruned_stamp[cluster] = scratch_.epoch;
-              ++pruned;
-            }
-          });
-      scratch_.last_pruned = pruned;
-      return;
     }
-    index_->VisitCandidatesOfSignature(query_signature_, [&](uint32_t other) {
-      const uint32_t cluster = assignment[other];
-      if (scratch_.cluster_stamp[cluster] != scratch_.epoch) {
-        scratch_.cluster_stamp[cluster] = scratch_.epoch;
-        out->push_back(cluster);
-      }
-    });
-    scratch_.last_pruned = 0;
+    // External queries have no own cluster to seed with, so screening may
+    // empty the shortlist; callers already treat an empty shortlist as
+    // "fall back to the exhaustive scan".
+    CollectShortlistSketched(
+        [&](auto&& sink) {
+          index_->VisitCandidatesOfSignature(query_signature_, sink);
+        },
+        assignment, scratch_, out, kNoSeedCluster, sketches_,
+        sketches_.empty() ? nullptr : query_sketch_.data(),
+        sketch_max_hamming_);
   }
 
   /// Historical name of the categorical external query: candidates for a

@@ -1,6 +1,7 @@
 #include "core/streaming.h"
 
 #include <algorithm>
+#include <ranges>
 
 #include "clustering/dissimilarity.h"
 #include "clustering/engine.h"
@@ -145,29 +146,16 @@ void StreamingMHKModes::ShortlistSignature(
     std::span<const uint64_t> signature, uint32_t skip_item,
     const uint64_t* query_sketch, ClusterDedupScratch& dedup,
     std::vector<uint32_t>* shortlist) const {
-  shortlist->clear();
-  BumpDedupEpoch(dedup);
-  dedup.last_pruned = 0;
-  index_->VisitCandidatesOfSignature(signature, [&](uint32_t other) {
-    // Skipping the item's own (already inserted, newest-first) entries
-    // reproduces the pre-insert walk exactly.
-    if (other == skip_item) return;
-    const uint32_t cluster = assignment_[other];
-    if (dedup.cluster_stamp[cluster] == dedup.epoch) return;
-    if (query_sketch != nullptr &&
-        sketches_.HammingTo(query_sketch, other) > sketch_max_hamming_) {
-      // Screened out. The cluster stays prunable: a later, closer peer
-      // proposing the same cluster resurrects it below.
-      if (dedup.pruned_stamp[cluster] != dedup.epoch) {
-        dedup.pruned_stamp[cluster] = dedup.epoch;
-        ++dedup.last_pruned;
-      }
-      return;
-    }
-    dedup.cluster_stamp[cluster] = dedup.epoch;
-    if (dedup.pruned_stamp[cluster] == dedup.epoch) --dedup.last_pruned;
-    shortlist->push_back(cluster);
-  });
+  CollectShortlistSketched(
+      [&](auto&& sink) {
+        index_->VisitCandidatesOfSignature(signature, [&](uint32_t other) {
+          // Skipping the item's own (already inserted, newest-first)
+          // entries reproduces the pre-insert walk exactly.
+          if (other != skip_item) sink(other);
+        });
+      },
+      assignment_, dedup, shortlist, kNoSeedCluster, sketches_, query_sketch,
+      sketch_max_hamming_);
 }
 
 uint32_t StreamingMHKModes::ScoreRow(
@@ -175,27 +163,22 @@ uint32_t StreamingMHKModes::ScoreRow(
     std::span<const uint32_t> shortlist) const {
   uint32_t best_cluster = 0;
   uint32_t best_distance = ~0u;
+  const auto scan = [&](auto&& clusters) {
+    for (const uint32_t cluster : clusters) {
+      const uint32_t distance = BoundedMismatchDistance(
+          row.data(), modes_->ModeData(cluster), num_attributes_,
+          best_distance);
+      if (distance < best_distance) {
+        best_distance = distance;
+        best_cluster = cluster;
+      }
+    }
+  };
   if (shortlist.empty()) {
     // No similar predecessor anywhere: exhaustive scan (rare).
-    for (uint32_t cluster = 0; cluster < num_clusters_; ++cluster) {
-      const uint32_t distance = BoundedMismatchDistance(
-          row.data(), modes_->ModeData(cluster), num_attributes_,
-          best_distance);
-      if (distance < best_distance) {
-        best_distance = distance;
-        best_cluster = cluster;
-      }
-    }
+    scan(std::views::iota(0u, num_clusters_));
   } else {
-    for (const uint32_t cluster : shortlist) {
-      const uint32_t distance = BoundedMismatchDistance(
-          row.data(), modes_->ModeData(cluster), num_attributes_,
-          best_distance);
-      if (distance < best_distance) {
-        best_distance = distance;
-        best_cluster = cluster;
-      }
-    }
+    scan(shortlist);
   }
   return best_cluster;
 }

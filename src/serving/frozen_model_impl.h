@@ -49,37 +49,42 @@ class ScratchHolder final : public FrozenModel::RouteScratch {
   RoutedScratch scratch;
 };
 
+/// Shape check of a query dataset against a model over `primary`
+/// (attributes / dimensions / categorical attributes) and `secondary`
+/// (numeric attributes of a mixed model, else unused) — one overload per
+/// modality, shared by snapshot routing and the facade's Predict paths.
 [[nodiscard]] inline Status CheckQueryShape(const CategoricalDataset& queries,
-                              uint32_t primary, uint32_t /*secondary*/) {
+                                            uint32_t primary,
+                                            uint32_t /*secondary*/) {
   if (queries.num_attributes() != primary) {
     return Status::InvalidArgument(
         "query dataset has " + std::to_string(queries.num_attributes()) +
-        " attributes but the snapshot was taken from a model over " +
-        std::to_string(primary));
+        " attributes; the model expects " + std::to_string(primary));
   }
   return Status::OK();
 }
 
-[[nodiscard]] inline Status CheckQueryShape(const NumericDataset& queries, uint32_t primary,
-                              uint32_t /*secondary*/) {
+[[nodiscard]] inline Status CheckQueryShape(const NumericDataset& queries,
+                                            uint32_t primary,
+                                            uint32_t /*secondary*/) {
   if (queries.dimensions() != primary) {
     return Status::InvalidArgument(
         "query dataset has " + std::to_string(queries.dimensions()) +
-        " dimensions but the snapshot was taken from a model over " +
-        std::to_string(primary));
+        " dimensions; the model expects " + std::to_string(primary));
   }
   return Status::OK();
 }
 
-[[nodiscard]] inline Status CheckQueryShape(const MixedDataset& queries, uint32_t primary,
-                              uint32_t secondary) {
+[[nodiscard]] inline Status CheckQueryShape(const MixedDataset& queries,
+                                            uint32_t primary,
+                                            uint32_t secondary) {
   if (queries.num_categorical() != primary ||
       queries.num_numeric() != secondary) {
     return Status::InvalidArgument(
         "query dataset has " + std::to_string(queries.num_categorical()) +
         " categorical + " + std::to_string(queries.num_numeric()) +
-        " numeric attributes but the snapshot was taken from a model over " +
-        std::to_string(primary) + " + " + std::to_string(secondary));
+        " numeric attributes; the model expects " + std::to_string(primary) +
+        " + " + std::to_string(secondary));
   }
   return Status::OK();
 }
@@ -175,7 +180,7 @@ class FrozenModelImpl final : public FrozenModel {
       view.sketch_on = sketch_on;
       view.sketch_max_hamming = sketch_max_hamming_;
       for (uint32_t item = 0; item < n; ++item) {
-        SignQuery(queries, item, s);
+        SignQuery(*family_, queries, item, s);
         out[item] =
             RouteSignedQuery<Traits>(queries, model_, options_, view, item, s);
       }
@@ -204,24 +209,6 @@ class FrozenModelImpl final : public FrozenModel {
   uint32_t shape_secondary() const { return shape_secondary_; }
 
  private:
-  void SignQuery(const typename Traits::Dataset& queries, uint32_t item,
-                 RoutedScratch& s) const {
-    if constexpr (kRouted) {
-      if constexpr (std::is_same_v<typename Traits::Dataset,
-                                   CategoricalDataset>) {
-        queries.PresentTokens(item, &s.tokens);
-        family_->ComputeQuerySignature(s.tokens, s.signature.data());
-      } else if constexpr (std::is_same_v<typename Traits::Dataset,
-                                          NumericDataset>) {
-        family_->ComputeQuerySignature(queries.Row(item), s.signature.data());
-      } else {
-        queries.categorical().PresentTokens(item, &s.tokens);
-        family_->ComputeQuerySignature(s.tokens, queries.numeric().Row(item),
-                                       &s.centered, s.signature.data());
-      }
-    }
-  }
-
   typename Traits::Options options_;
   typename Traits::Centroids model_;
   std::optional<Family> family_;

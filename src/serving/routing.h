@@ -1,15 +1,19 @@
 #pragma once
 
 /// \file routing.h
-/// \brief The shared routed-query kernel: sign query -> probe buckets ->
-/// sketch-screen -> exact distance over the shortlist, exhaustive
-/// fallback on an empty probe.
+/// \brief The shared routed-query path: sign query (SignQuery) -> probe
+/// buckets, dedup and sketch-screen (the library's one probe kernel,
+/// CollectShortlist in core/shortlist_provider.h) -> exact distance over
+/// the sorted shortlist (the engine's scorer, BestClusterOf in
+/// clustering/engine.h), exhaustive fallback on an empty probe.
 ///
 /// This is the per-item body of the facade's PredictRouted factored into
 /// one place so the serving layer's FrozenModel::Route executes *the same
 /// code* against its snapshotted state — routed results from a snapshot
 /// are bit-identical to PredictRouted on the live Clusterer by
-/// construction, not by parallel maintenance of two loops.
+/// construction, not by parallel maintenance of two loops. The probe and
+/// scoring steps are in turn the ones engine refinement and streaming
+/// ingest run, so a probe or screen change lands everywhere at once.
 ///
 /// The kernel is pure per item and reads only immutable state through
 /// RoutedStateView, so any number of threads may route concurrently as
@@ -22,6 +26,8 @@
 
 #include "clustering/engine.h"
 #include "core/shortlist_provider.h"
+#include "data/categorical_dataset.h"
+#include "data/mixed_dataset.h"
 #include "lsh/banded_index.h"
 #include "lsh/bit_sketch.h"
 
@@ -63,10 +69,38 @@ inline RoutedScratch MakeRoutedScratch(uint32_t num_clusters,
 struct RoutedStateView {
   const BandedIndex* index = nullptr;
   std::span<const uint32_t> fit_assignment;
-  const BitSketchTable* sketches = nullptr;  ///< may be empty
+  const BitSketchTable* sketches = nullptr;  ///< required; table may be empty
   bool sketch_on = false;
   uint64_t sketch_max_hamming = 0;
 };
+
+/// Signs query `item` of a categorical dataset into `scratch.signature`
+/// with `family` (a MinHash family): presence-filtered tokens, then the
+/// family's query signature. One overload per dataset modality; the
+/// facade's PredictRouted and FrozenModel::Route both sign through here.
+template <typename Family>
+void SignQuery(const Family& family, const CategoricalDataset& queries,
+               uint32_t item, RoutedScratch& scratch) {
+  queries.PresentTokens(item, &scratch.tokens);
+  family.ComputeQuerySignature(scratch.tokens, scratch.signature.data());
+}
+
+/// Numeric overload (SimHash family): signs the query's row.
+template <typename Family>
+void SignQuery(const Family& family, const NumericDataset& queries,
+               uint32_t item, RoutedScratch& scratch) {
+  family.ComputeQuerySignature(queries.Row(item), scratch.signature.data());
+}
+
+/// Mixed overload (concatenated family): tokens of the categorical half
+/// plus the numeric row, centered through `scratch.centered`.
+template <typename Family>
+void SignQuery(const Family& family, const MixedDataset& queries,
+               uint32_t item, RoutedScratch& scratch) {
+  queries.categorical().PresentTokens(item, &scratch.tokens);
+  family.ComputeQuerySignature(scratch.tokens, queries.numeric().Row(item),
+                               &scratch.centered, scratch.signature.data());
+}
 
 /// Routes one already-signed query (scratch.signature holds the query's
 /// signature) through `view`: probe the fit-time buckets, dereference
@@ -74,7 +108,7 @@ struct RoutedStateView {
 /// peers' packed sketches against the query's when the view carries a
 /// sketch table), and return the nearest candidate — with the engine's
 /// exhaustive argmin kernel as the fallback for an empty probe, so no
-/// query goes unanswered. Candidates are scanned in ascending cluster-id
+/// query goes unanswered. Candidates are scored in ascending cluster-id
 /// order with strict improvement, which is the exhaustive scan's
 /// lowest-id tie-breaking: a probe containing the true argmin yields
 /// exactly Predict's answer.
@@ -89,22 +123,13 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
     PackSketchBits(scratch.signature.data(), view.index->signature_width(),
                    scratch.query_sketch.data());
   }
-  scratch.shortlist.clear();
-  BumpDedupEpoch(scratch.dedup);
-  view.index->VisitCandidatesOfSignature(
-      scratch.signature, [&](uint32_t other) {
-        const uint32_t cluster = view.fit_assignment[other];
-        if (scratch.dedup.cluster_stamp[cluster] == scratch.dedup.epoch) {
-          return;
-        }
-        if (view.sketch_on &&
-            view.sketches->HammingTo(scratch.query_sketch.data(), other) >
-                view.sketch_max_hamming) {
-          return;
-        }
-        scratch.dedup.cluster_stamp[cluster] = scratch.dedup.epoch;
-        scratch.shortlist.push_back(cluster);
-      });
+  CollectShortlistSketched(
+      [&](auto&& sink) {
+        view.index->VisitCandidatesOfSignature(scratch.signature, sink);
+      },
+      view.fit_assignment, scratch.dedup, &scratch.shortlist, kNoSeedCluster,
+      *view.sketches, view.sketch_on ? scratch.query_sketch.data() : nullptr,
+      view.sketch_max_hamming);
   if (scratch.shortlist.empty()) {
     // External queries, unlike fitted items, share no bucket with
     // themselves, so an empty probe is possible: fall back to the
@@ -113,22 +138,8 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
         dataset, model, options, item, /*seed_cluster=*/0, k);
   }
   std::sort(scratch.shortlist.begin(), scratch.shortlist.end());
-  uint32_t best_cluster = scratch.shortlist.front();
-  typename Traits::DistanceType best_distance =
-      Traits::template ComputeDistance<false>(dataset, model, options, item,
-                                              best_cluster,
-                                              Traits::kInfiniteDistance);
-  for (size_t i = 1; i < scratch.shortlist.size(); ++i) {
-    const uint32_t cluster = scratch.shortlist[i];
-    const typename Traits::DistanceType distance =
-        Traits::template ComputeDistance<true>(dataset, model, options, item,
-                                               cluster, best_distance);
-    if (distance < best_distance) {
-      best_distance = distance;
-      best_cluster = cluster;
-    }
-  }
-  return best_cluster;
+  return BestClusterOf<Traits, /*EarlyExit=*/true>(dataset, model, options,
+                                                   item, scratch.shortlist);
 }
 
 }  // namespace lshclust::serving

@@ -7,7 +7,7 @@
 /// The chunk *decomposition* comes from the plan and never from the pool,
 /// so which worker runs which chunk is the only thing thread timing can
 /// change — callers that write per-chunk results into
-/// ShardedAccumulator slots and keep per-(shard, worker) scratch get
+/// ShardedAccumulator slots and keep their scratch per worker get
 /// bit-identical passes for every pool size, including none.
 
 #include <cstdint>

@@ -71,14 +71,117 @@ TEST(ShortlistProviderTest, DedupEpochWrapClearsStaleStamps) {
   const auto visit_all = [&](auto&& sink) {
     for (uint32_t peer = 0; peer < 4; ++peer) sink(peer);
   };
-  CollectCandidateClusters(0, assignment, scratch, &shortlist, visit_all);
+  CollectShortlist(visit_all, assignment, scratch, &shortlist,
+                   /*seed_cluster=*/assignment[0]);
   EXPECT_EQ(shortlist, (std::vector<uint32_t>{0, 1, 2, 3}))
       << "wrapping epoch dropped clusters";
   EXPECT_EQ(scratch.epoch, 1u) << "epoch must restart past the reserved 0";
 
   // Dedup still works in the epoch right after the wrap.
-  CollectCandidateClusters(1, assignment, scratch, &shortlist, visit_all);
+  CollectShortlist(visit_all, assignment, scratch, &shortlist,
+                   /*seed_cluster=*/assignment[1]);
   EXPECT_EQ(shortlist, (std::vector<uint32_t>{1, 0, 2, 3}));
+}
+
+TEST(ShortlistProviderTest, ProbeKernelMatchesBruteForceReference) {
+  // CollectShortlist against a sort/unique reference over random buckets,
+  // assignments and screens: the shortlist's set, the seed-first contract,
+  // a visitor-side skip, and the pruned count (a cluster is pruned only if
+  // every peer proposing it was screened out).
+  constexpr uint32_t kClusters = 12;
+  constexpr uint32_t kItems = 200;
+  Rng rng(17);
+  std::vector<uint32_t> assignment(kItems);
+  for (auto& cluster : assignment) {
+    cluster = static_cast<uint32_t>(rng.Below(kClusters));
+  }
+  std::vector<bool> passes(kItems);
+  for (uint32_t item = 0; item < kItems; ++item) {
+    passes[item] = rng.Below(3) != 0;
+  }
+  const auto screen = [&](uint32_t peer) { return bool(passes[peer]); };
+  // Clusters of `peers` (plus `seed` when given) that pass `keep`, as a
+  // sorted set.
+  const auto reference = [&](const std::vector<uint32_t>& peers,
+                             uint32_t seed, auto keep) {
+    std::vector<uint32_t> clusters;
+    if (seed != kNoSeedCluster) clusters.push_back(seed);
+    for (const uint32_t peer : peers) {
+      if (keep(peer)) clusters.push_back(assignment[peer]);
+    }
+    std::sort(clusters.begin(), clusters.end());
+    clusters.erase(std::unique(clusters.begin(), clusters.end()),
+                   clusters.end());
+    return clusters;
+  };
+  const auto sorted = [](std::vector<uint32_t> values) {
+    std::sort(values.begin(), values.end());
+    return values;
+  };
+
+  ClusterDedupScratch scratch = MakeClusterDedupScratch(kClusters);
+  std::vector<uint32_t> shortlist;
+  std::vector<uint32_t> unscreened;
+  for (uint32_t query = 0; query < 300; ++query) {
+    // A random bucket walk: peers repeat, as overlapping bands do.
+    std::vector<uint32_t> peers(rng.Below(40));
+    for (auto& peer : peers) peer = static_cast<uint32_t>(rng.Below(kItems));
+    const auto visit = [&](auto&& sink) {
+      for (const uint32_t peer : peers) sink(peer);
+    };
+    const auto all = [](uint32_t) { return true; };
+    const uint32_t seed = query % 2 == 0
+                              ? static_cast<uint32_t>(rng.Below(kClusters))
+                              : kNoSeedCluster;
+
+    CollectShortlist(visit, assignment, scratch, &unscreened, seed);
+    EXPECT_EQ(scratch.last_pruned, 0u) << "query " << query;
+    EXPECT_EQ(sorted(unscreened), reference(peers, seed, all))
+        << "query " << query;
+    EXPECT_EQ(sorted(unscreened).size(), unscreened.size())
+        << "duplicates, query " << query;
+
+    CollectShortlist(visit, assignment, scratch, &shortlist, seed, screen);
+    EXPECT_EQ(sorted(shortlist), reference(peers, seed, screen))
+        << "query " << query;
+    EXPECT_EQ(shortlist.size() + scratch.last_pruned, unscreened.size())
+        << "query " << query;
+    if (seed != kNoSeedCluster) {
+      ASSERT_FALSE(shortlist.empty());
+      EXPECT_EQ(shortlist.front(), seed) << "query " << query;
+    }
+
+    // A caller-side skip filters the walk before the kernel sees it.
+    if (!peers.empty()) {
+      const uint32_t skip = peers[rng.Below(peers.size())];
+      std::vector<uint32_t> kept;
+      for (const uint32_t peer : peers) {
+        if (peer != skip) kept.push_back(peer);
+      }
+      CollectShortlist(
+          [&](auto&& sink) {
+            visit([&](uint32_t peer) {
+              if (peer != skip) sink(peer);
+            });
+          },
+          assignment, scratch, &shortlist, seed, screen);
+      EXPECT_EQ(sorted(shortlist), reference(kept, seed, screen))
+          << "query " << query;
+    }
+  }
+
+  // An external query (no seed) whose every peer is screened out comes
+  // back empty, with every proposed cluster counted as pruned.
+  const std::vector<uint32_t> peers = {3, 7, 7, 19, 42};
+  const auto visit = [&](auto&& sink) {
+    for (const uint32_t peer : peers) sink(peer);
+  };
+  CollectShortlist(visit, assignment, scratch, &shortlist, kNoSeedCluster,
+                   [](uint32_t) { return false; });
+  EXPECT_TRUE(shortlist.empty());
+  EXPECT_EQ(scratch.last_pruned,
+            reference(peers, kNoSeedCluster, [](uint32_t) { return true; })
+                .size());
 }
 
 TEST(ShortlistProviderTest, ExternalQueryReusesProviderBuffers) {
