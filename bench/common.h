@@ -251,7 +251,11 @@ inline std::vector<MethodRun> RunSyntheticFigure(
                  static_cast<uint64_t>(run.result.iterations.size()));
       writer.Add("converged", static_cast<uint64_t>(run.result.converged));
       writer.Add("total_seconds", run.result.total_seconds);
+      writer.Add("init_seconds", run.result.init_seconds);
+      writer.Add("initial_assign_seconds", run.result.initial_assign_seconds);
       writer.Add("refine_seconds", run.result.RefinementSeconds());
+      writer.Add("centroid_update_seconds",
+                 run.result.centroid_update_seconds);
       writer.Add("index_build_seconds", run.result.index_build_seconds);
       writer.Add("final_cost", run.result.final_cost);
       writer.Add("moves", run.result.TotalMoves());

@@ -216,8 +216,8 @@ Result<FitReport> RunToReport(const typename Traits::Dataset& dataset,
 }
 
 /// Nearest fitted centroid for every item of an out-of-sample dataset —
-/// literally the engine's exhaustive argmin kernel
-/// (BestClusterExhaustive, seed cluster 0), so ties resolve identically
+/// literally the engine's exhaustive scan (AssignExhaustiveRange, seed
+/// cluster 0, over a per-call ExhaustiveView), so ties resolve identically
 /// to a Fit pass by construction. Chunked across a worker pool when the
 /// spec's num_threads asks for one; per-item pure, so bit-identical
 /// either way.
@@ -226,13 +226,12 @@ std::vector<uint32_t> AssignNearest(const typename Traits::Dataset& dataset,
                                     const typename Traits::Centroids& model,
                                     const typename Traits::Options& options) {
   const uint32_t n = dataset.num_items();
-  const uint32_t k = options.num_clusters;
   std::vector<uint32_t> assignment(n, 0);
+  ExhaustiveView<Traits> view;
+  BuildExhaustiveView<Traits>(model, &view);
   const auto assign_range = [&](uint32_t begin, uint32_t end) {
-    for (uint32_t item = begin; item < end; ++item) {
-      assignment[item] = BestClusterExhaustive<Traits, /*EarlyExit=*/true>(
-          dataset, model, options, item, /*seed_cluster=*/0, k);
-    }
+    AssignExhaustiveRange<Traits, /*EarlyExit=*/true>(
+        dataset, model, view, options, assignment, begin, end);
   };
   // Predict spawns its pool per call (it has no run to borrow one from),
   // so small batches — the per-micro-batch routing pattern — stay
@@ -279,22 +278,17 @@ std::vector<uint32_t> AssignRouted(const typename Traits::Dataset& dataset,
   // query's before its cluster enters the shortlist. A screened-out
   // shortlist that comes up empty falls through to the exhaustive
   // kernel, so screening never leaves a query unanswered.
-  const bool sketch_on = provider.sketch_enabled();
   serving::RoutedStateView view;
   view.index = &index;
   view.fit_assignment = fit_assignment;
   view.sketches = &provider.sketches();
-  view.sketch_on = sketch_on;
   view.sketch_max_hamming = provider.sketch_max_hamming();
   std::vector<uint32_t> assignment(n, 0);
 
   const auto route_range = [&](uint32_t begin, uint32_t end,
                                RoutedScratch& scratch) {
-    for (uint32_t item = begin; item < end; ++item) {
-      serving::SignQuery(provider.family(), dataset, item, scratch);
-      assignment[item] = serving::RouteSignedQuery<Traits>(
-          dataset, model, options, view, item, scratch);
-    }
+    serving::RouteQueries<Traits>(provider.family(), dataset, model, options,
+                                  view, begin, end, scratch, assignment);
   };
 
   const ShardPlan plan =
@@ -302,7 +296,7 @@ std::vector<uint32_t> AssignRouted(const typename Traits::Dataset& dataset,
   const auto make_scratch = [&] {
     return serving::MakeRoutedScratch(
         k, index.signature_width(),
-        sketch_on ? provider.sketches().words() : 0);
+        provider.sketch_enabled() ? provider.sketches().words() : 0);
   };
   const uint32_t num_threads = ResolveThreadCount(options.num_threads);
   if (num_threads <= 1 || n < 4096u) {

@@ -5,7 +5,10 @@
 /// inner loop of every assignment step.
 ///
 /// The kernels themselves live in src/simd/ behind runtime CPU dispatch
-/// (scalar / SSE4.2 / AVX2); this header is the thin domain-facing wrapper.
+/// (scalar / SSE4.2 / AVX2 / AVX-512); this header is the thin
+/// domain-facing wrapper of the row kernels. The block kernel
+/// (`mismatch_block16`: one row against 16 modes at once) is driven by the
+/// exhaustive nearest-mode scan, AssignNearestModes in clustering/modes.h.
 /// Historically the bounded scan relied on a `[[gnu::noinline]]` 32-element
 /// block helper to keep GCC's auto-vectorizer engaged between the
 /// early-exit branches; the dispatched kernels vectorize explicitly, so

@@ -29,7 +29,11 @@
 /// Phases, timed separately (see ClusteringResult):
 ///   1. init: seed selection, initial centroids = seed items.
 ///   2. initial assignment: one exhaustive pass (the paper performs this
-///      for MH-K-Modes too, before the index exists — Alg. 2 step 2).
+///      for MH-K-Modes too, before the index exists — Alg. 2 step 2),
+///      then the first centroid update. Exhaustive passes run through
+///      AssignExhaustiveRange: K-Modes scans a pass-local blocked copy of
+///      the modes 16 clusters per kernel call (AssignNearestModes), the
+///      other families score each item with BestClusterExhaustive.
 ///   3. provider.Prepare(): signature computation + index build
 ///      (no-op for the baseline). Pool-aware providers receive the worker
 ///      pool and parallelize signing over items.
@@ -196,9 +200,11 @@ struct EngineOptions {
 /// argmin semantics: `seed_cluster` is evaluated exactly first (so the
 /// early-exit bound starts tight once the clustering stabilises) and
 /// skipped in the scan; strict improvement decides, so ties keep the
-/// lowest-index candidate. The engine's exhaustive passes and the
-/// facade's Predict share this one kernel, so their tie-breaking can
-/// never drift apart.
+/// lowest-index candidate. This is the contract of every exhaustive scan:
+/// the engine's exhaustive passes and the facade's Predict run it through
+/// AssignExhaustiveRange, whose K-Modes scan (AssignNearestModes)
+/// reproduces this argmin block by block, and the routed fallback of
+/// serving/routing.h calls it per query.
 template <typename Traits, bool EarlyExit>
 uint32_t BestClusterExhaustive(const typename Traits::Dataset& dataset,
                                const typename Traits::Centroids& centroids,
@@ -252,6 +258,70 @@ uint32_t BestClusterOf(const typename Traits::Dataset& dataset,
     }
   }
   return best_cluster;
+}
+
+namespace internal {
+
+struct NoExhaustiveView {};
+
+template <typename Traits>
+struct ExhaustiveViewType {
+  using type = NoExhaustiveView;
+};
+template <typename Traits>
+  requires requires { typename Traits::ExhaustiveView; }
+struct ExhaustiveViewType<Traits> {
+  using type = typename Traits::ExhaustiveView;
+};
+
+}  // namespace internal
+
+/// Pass-local state of an exhaustive scan: the traits' ExhaustiveView
+/// when they bring their own scan (K-Modes: BlockedModes), else empty.
+template <typename Traits>
+using ExhaustiveView = typename internal::ExhaustiveViewType<Traits>::type;
+
+/// Rebuilds `view` from the current centroids; a no-op for traits without
+/// their own scan. Call once per pass, before AssignExhaustiveRange.
+template <typename Traits>
+void BuildExhaustiveView(const typename Traits::Centroids& centroids,
+                         ExhaustiveView<Traits>* view) {
+  if constexpr (requires { Traits::BuildExhaustiveView(centroids, view); }) {
+    Traits::BuildExhaustiveView(centroids, view);
+  }
+}
+
+/// Exhaustive nearest-centroid assignment of items [begin, end): each
+/// item's `assignment` entry is its seed cluster on entry and the
+/// BestClusterExhaustive argmin on exit. Traits with an ExhaustiveView run
+/// their own scan over it (which must reproduce that argmin; K-Modes'
+/// blocked scan is the same for either EarlyExit); the others run
+/// BestClusterExhaustive per item. Returns the number of items whose
+/// cluster changed.
+template <typename Traits, bool EarlyExit>
+uint64_t AssignExhaustiveRange(const typename Traits::Dataset& dataset,
+                               const typename Traits::Centroids& centroids,
+                               const ExhaustiveView<Traits>& view,
+                               const typename Traits::Options& options,
+                               std::span<uint32_t> assignment, uint32_t begin,
+                               uint32_t end) {
+  if constexpr (requires { typename Traits::ExhaustiveView; }) {
+    return Traits::ScanExhaustive(dataset, centroids, view, assignment, begin,
+                                  end);
+  } else {
+    uint64_t moves = 0;
+    for (uint32_t item = begin; item < end; ++item) {
+      const uint32_t seed_cluster = assignment[item];
+      const uint32_t best = BestClusterExhaustive<Traits, EarlyExit>(
+          dataset, centroids, options, item, seed_cluster,
+          options.num_clusters);
+      if (best != seed_cluster) {
+        assignment[item] = best;
+        ++moves;
+      }
+    }
+    return moves;
+  }
 }
 
 /// \brief Candidate provider that enumerates every cluster — plugging this
@@ -315,6 +385,23 @@ struct CategoricalClusteringTraits {
     } else {
       return MismatchDistance(dataset.Row(item), modes.Mode(cluster));
     }
+  }
+
+  /// Exhaustive scans run on a pass-local blocked copy of the modes
+  /// (see AssignExhaustiveRange).
+  using ExhaustiveView = BlockedModes;
+
+  static void BuildExhaustiveView(const Centroids& modes,
+                                  ExhaustiveView* view) {
+    view->Build(modes);
+  }
+
+  static uint64_t ScanExhaustive(const Dataset& dataset,
+                                 const Centroids& modes,
+                                 const ExhaustiveView& view,
+                                 std::span<uint32_t> assignment,
+                                 uint32_t begin, uint32_t end) {
+    return AssignNearestModes(dataset, modes, view, assignment, begin, end);
   }
 
   static void UpdateCentroids(const Dataset& dataset, Centroids& modes,
@@ -465,17 +552,21 @@ class ClusteringEngine {
     };
 
     // Phase 2: initial exhaustive assignment + first centroid update.
+    // Every item starts in cluster 0, the seed the first pass scores first.
     phase_watch.Restart();
     result.assignment.assign(n, 0);
+    // Rebuilt from the current centroids by every exhaustive pass.
+    ExhaustiveView<Traits> exhaustive_view;
     // Evaluations of this pass are deliberately not folded into
     // result.exact_distances_evaluated: the initial exhaustive assignment
     // is common to every method, so the counter tracks the refinement
     // phase, where the providers differ.
     uint64_t initial_evaluated = 0;
     DispatchEarlyExit(options.early_exit, [&](auto early_exit) {
-      ExhaustivePass<early_exit.value, /*FirstPass=*/true>(
-          dataset, centroids, options, result.assignment, plan, pool,
-          accumulator, &initial_evaluated, cancel);
+      ExhaustivePass<early_exit.value>(dataset, centroids, exhaustive_view,
+                                       options, result.assignment, plan, pool,
+                                       accumulator, &initial_evaluated,
+                                       cancel);
     });
     if (cancel.Latched()) {
       // The interrupted initial pass has no previous state to roll back
@@ -484,8 +575,10 @@ class ClusteringEngine {
       result.assignment.clear();
       return finish_cancelled(std::move(result));
     }
+    Stopwatch update_watch;
     Traits::UpdateCentroids(dataset, centroids, result.assignment, options,
                             rng);
+    result.centroid_update_seconds = update_watch.ElapsedSeconds();
     result.initial_assign_seconds = phase_watch.ElapsedSeconds();
     // Fresh poll before the index build starts: the initial assignment is
     // complete and reportable, and Prepare is the next big work unit.
@@ -552,9 +645,10 @@ class ClusteringEngine {
             std::copy(result.assignment.begin(), result.assignment.end(),
                       snapshot.begin());
           }
-          moves = ExhaustivePass<kEarlyExit, /*FirstPass=*/false>(
-              dataset, centroids, options, result.assignment, plan, pool,
-              accumulator, &pass_evaluated, cancel);
+          moves = ExhaustivePass<kEarlyExit>(
+              dataset, centroids, exhaustive_view, options,
+              result.assignment, plan, pool, accumulator, &pass_evaluated,
+              cancel);
           shortlist_total = static_cast<uint64_t>(n) * k;
         } else if constexpr (kParallelProvider) {
           // Freeze the cluster-reference store for this pass: queries see
@@ -591,10 +685,13 @@ class ClusteringEngine {
       // rollback contract: a cancelled pass contributes no state at all.
       result.exact_distances_evaluated += pass_evaluated;
       result.exact_distances_pruned += pass_pruned;
+      update_watch.Restart();
       Traits::UpdateCentroids(dataset, centroids, result.assignment, options,
                               rng);
 
       IterationStats stats;
+      stats.update_seconds = update_watch.ElapsedSeconds();
+      result.centroid_update_seconds += stats.update_seconds;
       stats.iteration = iteration;
       stats.moves = moves;
       stats.mean_shortlist =
@@ -671,7 +768,8 @@ class ClusteringEngine {
   };
 
   /// Per-chunk accumulator, merged in shard order after a pass (see
-  /// shard/sharded_accumulator.h).
+  /// shard/sharded_accumulator.h). Passes accumulate into locals and store
+  /// here once per chunk: adjacent chunks' slots share cache lines.
   struct ChunkStats {
     uint64_t moves = 0;
     uint64_t shortlist = 0;
@@ -690,57 +788,37 @@ class ClusteringEngine {
     }
   }
 
-  /// One exhaustive chunk: items [begin, end) against all k clusters.
-  /// Accumulates into locals and stores to `stats` once at the end:
-  /// adjacent chunks' ChunkStats share cache lines, and per-item writes
-  /// through the pointer would false-share between workers.
-  template <bool EarlyExit, bool FirstPass>
-  static void ExhaustiveChunk(const Dataset& dataset,
-                              const Centroids& centroids,
-                              const Options& options,
-                              std::span<uint32_t> assignment, uint32_t begin,
-                              uint32_t end, ChunkStats* stats) {
-    const uint32_t k = options.num_clusters;
-    uint64_t moves = 0;
-    for (uint32_t item = begin; item < end; ++item) {
-      const uint32_t seed_cluster = FirstPass ? 0u : assignment[item];
-      const uint32_t best = BestClusterExhaustive<Traits, EarlyExit>(
-          dataset, centroids, options, item, seed_cluster, k);
-      if (FirstPass) {
-        assignment[item] = best;
-      } else if (best != seed_cluster) {
-        assignment[item] = best;
-        ++moves;
-      }
-    }
-    stats->moves = moves;
-    // Exactly k exact distances per item: the seed cluster once, then the
-    // k-1 others (the scan skips the seed).
-    stats->evaluated = static_cast<uint64_t>(end - begin) * k;
-  }
-
-  /// Full exhaustive pass over the shard plan. Each item touches only its
-  /// own assignment slot, so in-place parallel writes are race-free and
-  /// order-independent; per-chunk stats merge through the accumulator in
-  /// shard order.
-  template <bool EarlyExit, bool FirstPass>
+  /// Full exhaustive pass over the shard plan: every item is re-assigned
+  /// from its current cluster as the seed. `view` is rebuilt from
+  /// `centroids` first and then shared read-only by the workers. Each item
+  /// touches only its own assignment slot, so in-place parallel writes are
+  /// race-free and order-independent; per-chunk stats merge through the
+  /// accumulator in shard order.
+  template <bool EarlyExit>
   static uint64_t ExhaustivePass(const Dataset& dataset,
                                  const Centroids& centroids,
+                                 ExhaustiveView<Traits>& view,
                                  const Options& options,
                                  std::span<uint32_t> assignment,
                                  const ShardPlan& plan, ThreadPool* pool,
                                  ShardedAccumulator<ChunkStats>& accumulator,
                                  uint64_t* evaluated,
                                  const CancelPoll& cancel) {
+    BuildExhaustiveView<Traits>(centroids, &view);
     accumulator.Reset(plan);
     ForEachShardChunk(
         plan, pool,
         [&](const ShardPlan::Chunk& chunk, uint32_t index, uint32_t) {
           if (cancel.Cancelled()) return;
-          ExhaustiveChunk<EarlyExit, FirstPass>(dataset, centroids, options,
-                                                assignment, chunk.begin,
-                                                chunk.end,
-                                                accumulator.slot(index));
+          ChunkStats* stats = accumulator.slot(index);
+          stats->moves = AssignExhaustiveRange<Traits, EarlyExit>(
+              dataset, centroids, view, options, assignment, chunk.begin,
+              chunk.end);
+          // Exactly k exact distances per item: the seed cluster once,
+          // then the k-1 others.
+          stats->evaluated =
+              static_cast<uint64_t>(chunk.end - chunk.begin) *
+              options.num_clusters;
         });
     uint64_t moves = 0;
     accumulator.MergeInOrder([&](const ChunkStats& stats) {
@@ -752,8 +830,7 @@ class ClusteringEngine {
 
   /// One shortlist chunk (parallel-capable providers): queries `provider`
   /// against the frozen `reference` snapshot, writes into the live
-  /// assignment. Local accumulators for the same false-sharing reason as
-  /// ExhaustiveChunk.
+  /// assignment. Local accumulators, stored once (see ChunkStats).
   template <bool EarlyExit>
   static void ShortlistChunk(const Dataset& dataset,
                              const Centroids& centroids,

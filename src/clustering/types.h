@@ -33,6 +33,9 @@ struct IterationStats {
   uint32_t iteration = 0;
   /// Wall-clock seconds of this iteration (assignment + mode update).
   double seconds = 0;
+  /// The centroid (mode) update's share of `seconds`; the rest is the
+  /// assignment pass.
+  double update_seconds = 0;
   /// Items that changed cluster this iteration ("moves", Figs. 2c/3d/4b...).
   uint64_t moves = 0;
   /// Mean candidate shortlist size per item ("Avg. Clusters Returned",
@@ -66,6 +69,9 @@ struct ClusteringResult {
   /// Seconds of the initial exhaustive assignment pass (common to the
   /// baseline and the accelerated variant; Alg. 2 runs it before indexing).
   double initial_assign_seconds = 0;
+  /// Seconds of every centroid update of the run: the first one (also
+  /// inside initial_assign_seconds) plus each iteration's update_seconds.
+  double centroid_update_seconds = 0;
   /// Seconds spent computing signatures and building the LSH index
   /// (zero for the baseline).
   double index_build_seconds = 0;

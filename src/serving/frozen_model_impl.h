@@ -169,21 +169,16 @@ class FrozenModelImpl final : public FrozenModel {
       if (s.signature.size() != index_->signature_width()) {
         s.signature.resize(index_->signature_width());
       }
-      const bool sketch_on = !sketches_.empty();
-      if (sketch_on && s.query_sketch.size() != sketches_.words()) {
+      if (!sketches_.empty() && s.query_sketch.size() != sketches_.words()) {
         s.query_sketch.resize(sketches_.words());
       }
       RoutedStateView view;
       view.index = index_.get();
       view.fit_assignment = fit_assignment_;
       view.sketches = &sketches_;
-      view.sketch_on = sketch_on;
       view.sketch_max_hamming = sketch_max_hamming_;
-      for (uint32_t item = 0; item < n; ++item) {
-        SignQuery(*family_, queries, item, s);
-        out[item] =
-            RouteSignedQuery<Traits>(queries, model_, options_, view, item, s);
-      }
+      RouteQueries<Traits>(*family_, queries, model_, options_, view, 0, n, s,
+                           out);
       return Status::OK();
     }
   }

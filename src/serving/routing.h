@@ -7,11 +7,12 @@
 /// the sorted shortlist (the engine's scorer, BestClusterOf in
 /// clustering/engine.h), exhaustive fallback on an empty probe.
 ///
-/// This is the per-item body of the facade's PredictRouted factored into
-/// one place so the serving layer's FrozenModel::Route executes *the same
-/// code* against its snapshotted state — routed results from a snapshot
-/// are bit-identical to PredictRouted on the live Clusterer by
-/// construction, not by parallel maintenance of two loops. The probe and
+/// This is the body of the facade's PredictRouted (RouteQueries over a
+/// chunk, RouteSignedQuery per item) factored into one place so the
+/// serving layer's FrozenModel::Route executes *the same code* against its
+/// snapshotted state — routed results from a snapshot are bit-identical to
+/// PredictRouted on the live Clusterer by construction, not by parallel
+/// maintenance of two loops. The probe and
 /// scoring steps are in turn the ones engine refinement and streaming
 /// ingest run, so a probe or screen change lands everywhere at once.
 ///
@@ -69,8 +70,8 @@ inline RoutedScratch MakeRoutedScratch(uint32_t num_clusters,
 struct RoutedStateView {
   const BandedIndex* index = nullptr;
   std::span<const uint32_t> fit_assignment;
-  const BitSketchTable* sketches = nullptr;  ///< required; table may be empty
-  bool sketch_on = false;
+  /// Required; an empty table means the sketch screen is off.
+  const BitSketchTable* sketches = nullptr;
   uint64_t sketch_max_hamming = 0;
 };
 
@@ -119,7 +120,8 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
                           const RoutedStateView& view, uint32_t item,
                           RoutedScratch& scratch) {
   const uint32_t k = options.num_clusters;
-  if (view.sketch_on) {
+  const bool sketch_on = !view.sketches->empty();
+  if (sketch_on) {
     PackSketchBits(scratch.signature.data(), view.index->signature_width(),
                    scratch.query_sketch.data());
   }
@@ -128,7 +130,7 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
         view.index->VisitCandidatesOfSignature(scratch.signature, sink);
       },
       view.fit_assignment, scratch.dedup, &scratch.shortlist, kNoSeedCluster,
-      *view.sketches, view.sketch_on ? scratch.query_sketch.data() : nullptr,
+      *view.sketches, sketch_on ? scratch.query_sketch.data() : nullptr,
       view.sketch_max_hamming);
   if (scratch.shortlist.empty()) {
     // External queries, unlike fitted items, share no bucket with
@@ -140,6 +142,24 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
   std::sort(scratch.shortlist.begin(), scratch.shortlist.end());
   return BestClusterOf<Traits, /*EarlyExit=*/true>(dataset, model, options,
                                                    item, scratch.shortlist);
+}
+
+/// Routes queries [begin, end) of `queries`: each is signed with `family`
+/// (SignQuery) and routed through `view` (RouteSignedQuery), its cluster
+/// written to out[item]. The facade's PredictRouted and FrozenModel::Route
+/// both run this loop, so neither can drift from the other.
+template <typename Traits, typename Family>
+void RouteQueries(const Family& family,
+                  const typename Traits::Dataset& queries,
+                  const typename Traits::Centroids& model,
+                  const typename Traits::Options& options,
+                  const RoutedStateView& view, uint32_t begin, uint32_t end,
+                  RoutedScratch& scratch, std::span<uint32_t> out) {
+  for (uint32_t item = begin; item < end; ++item) {
+    SignQuery(family, queries, item, scratch);
+    out[item] = RouteSignedQuery<Traits>(queries, model, options, view, item,
+                                         scratch);
+  }
 }
 
 }  // namespace lshclust::serving

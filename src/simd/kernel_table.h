@@ -16,6 +16,10 @@
 
 namespace lshclust::simd {
 
+/// Lanes of a mode block: the block kernel compares one row against this
+/// many modes at once (one 512-bit register of 32-bit codes).
+inline constexpr uint32_t kModeBlockLanes = 16;
+
 /// One tier's kernel implementations. All integer kernels are bit-identical
 /// across tiers; the float kernels (`bounded_sql2`, `dot`) use a fixed
 /// 4-lane x 8-element blocked reduction order so every tier returns the
@@ -57,6 +61,17 @@ struct KernelTable {
   /// packed bit sketches, used by the shortlist prefilter.
   uint64_t (*hamming_words)(const uint64_t* a, const uint64_t* b,
                             uint32_t words);
+
+  /// Mismatch counts of one row against a block of kModeBlockLanes modes
+  /// stored attribute-major (`block[j * 16 + lane]`, m rows of 16 codes):
+  /// counts[lane] = #{j < m : row[j] != block[j * 16 + lane]}. Returns the
+  /// mask of lanes whose count is below `bound` (bit `lane`). Early exit:
+  /// after every full 32-attribute step the kernel returns 0 once no lane
+  /// is below `bound`, leaving that step's partial counts in `counts`.
+  /// Every tier checks at the same steps, so counts and mask are
+  /// tier-identical.
+  uint32_t (*mismatch_block16)(const uint32_t* row, const uint32_t* block,
+                               uint32_t m, uint32_t bound, uint32_t* counts);
 };
 
 /// Per-tier tables, defined in kernels_scalar.cpp / kernels_sse42.cpp /

@@ -198,6 +198,61 @@ void Avx2Mix64Batch(const uint32_t* tokens, uint32_t count, uint64_t seed,
   }
 }
 
+/// Lanes of `mismatches` (two 8-lane halves of the 16-lane block) below
+/// `bound`, unsigned: a lane is not below iff max(lane, bound) == lane.
+inline uint32_t LanesBelow(const __m256i* mismatches, uint32_t bound) {
+  const __m256i vbound = _mm256_set1_epi32(static_cast<int>(bound));
+  uint32_t not_below = 0;
+  for (uint32_t h = 0; h < 2; ++h) {
+    const __m256i ge = _mm256_cmpeq_epi32(
+        _mm256_max_epu32(mismatches[h], vbound), mismatches[h]);
+    not_below |= static_cast<uint32_t>(
+                     _mm256_movemask_ps(_mm256_castsi256_ps(ge)))
+                 << (8 * h);
+  }
+  return ~not_below & 0xFFFFu;
+}
+
+/// Two 8-lane equality counters over block rows [begin, end); the
+/// mismatch count of a lane is then (attributes seen) - (equal count).
+inline void AccumulateEqualBlock16(const uint32_t* row, const uint32_t* block,
+                                   uint32_t begin, uint32_t end,
+                                   __m256i* equals) {
+  for (uint32_t j = begin; j < end; ++j) {
+    const __m256i code = _mm256_set1_epi32(static_cast<int>(row[j]));
+    const __m256i* modes =
+        reinterpret_cast<const __m256i*>(block + static_cast<uint64_t>(j) * 16);
+    equals[0] = _mm256_sub_epi32(
+        equals[0], _mm256_cmpeq_epi32(code, _mm256_loadu_si256(modes)));
+    equals[1] = _mm256_sub_epi32(
+        equals[1], _mm256_cmpeq_epi32(code, _mm256_loadu_si256(modes + 1)));
+  }
+}
+
+inline uint32_t FinishBlock16(const __m256i* equals, uint32_t seen,
+                              uint32_t bound, uint32_t* counts) {
+  __m256i mismatches[2];
+  const __m256i vseen = _mm256_set1_epi32(static_cast<int>(seen));
+  for (uint32_t h = 0; h < 2; ++h) {
+    mismatches[h] = _mm256_sub_epi32(vseen, equals[h]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + 8 * h),
+                        mismatches[h]);
+  }
+  return LanesBelow(mismatches, bound);
+}
+
+uint32_t Avx2MismatchBlock16(const uint32_t* row, const uint32_t* block,
+                             uint32_t m, uint32_t bound, uint32_t* counts) {
+  __m256i equals[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+  uint32_t j = 0;
+  for (; j + 32 <= m; j += 32) {
+    AccumulateEqualBlock16(row, block, j, j + 32, equals);
+    if (FinishBlock16(equals, j + 32, bound, counts) == 0) return 0;
+  }
+  AccumulateEqualBlock16(row, block, j, m, equals);
+  return FinishBlock16(equals, m, bound, counts);
+}
+
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
@@ -210,6 +265,7 @@ const KernelTable kAvx2Kernels = {
     // Sketches are a handful of words; hardware popcnt (this TU is built
     // with -mpopcnt) is already the fast path.
     /*hamming_words=*/ScalarHammingWords,
+    /*mismatch_block16=*/Avx2MismatchBlock16,
 };
 
 }  // namespace lshclust::simd
@@ -229,6 +285,7 @@ const KernelTable kAvx2Kernels = {
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
     /*hamming_words=*/ScalarHammingWords,
+    /*mismatch_block16=*/ScalarMismatchBlock16,
 };
 
 }  // namespace lshclust::simd

@@ -189,6 +189,46 @@ uint64_t Avx512HammingWords(const uint64_t* a, const uint64_t* b,
   return total;
 }
 
+/// Adds the mismatches of row[j] vs block row j, j in [begin, end): per
+/// attribute one embedded-broadcast compare into a mask register and one
+/// masked increment of the 16 lane counters. Even and odd attributes go
+/// to separate counters so consecutive increments do not wait on each
+/// other.
+inline __m512i AccumulateBlock16(const uint32_t* row, const uint32_t* block,
+                                 uint32_t begin, uint32_t end, __m512i acc) {
+  const __m512i one = _mm512_set1_epi32(1);
+  const auto differ = [&](uint32_t j) {
+    return _mm512_cmpneq_epi32_mask(
+        _mm512_loadu_si512(block + static_cast<uint64_t>(j) * 16),
+        _mm512_set1_epi32(static_cast<int>(row[j])));
+  };
+  __m512i odd = _mm512_setzero_si512();
+  uint32_t j = begin;
+  for (; j + 2 <= end; j += 2) {
+    acc = _mm512_mask_add_epi32(acc, differ(j), acc, one);
+    odd = _mm512_mask_add_epi32(odd, differ(j + 1), odd, one);
+  }
+  if (j < end) acc = _mm512_mask_add_epi32(acc, differ(j), acc, one);
+  return _mm512_add_epi32(acc, odd);
+}
+
+uint32_t Avx512MismatchBlock16(const uint32_t* row, const uint32_t* block,
+                               uint32_t m, uint32_t bound, uint32_t* counts) {
+  const __m512i vbound = _mm512_set1_epi32(static_cast<int>(bound));
+  __m512i acc = _mm512_setzero_si512();
+  uint32_t j = 0;
+  for (; j + 32 <= m; j += 32) {
+    acc = AccumulateBlock16(row, block, j, j + 32, acc);
+    if (_mm512_cmplt_epu32_mask(acc, vbound) == 0) {
+      _mm512_storeu_si512(counts, acc);
+      return 0;
+    }
+  }
+  acc = AccumulateBlock16(row, block, j, m, acc);
+  _mm512_storeu_si512(counts, acc);
+  return _mm512_cmplt_epu32_mask(acc, vbound);
+}
+
 }  // namespace
 
 const KernelTable kAvx512Kernels = {
@@ -199,6 +239,7 @@ const KernelTable kAvx512Kernels = {
     /*minhash_scan=*/Avx512MinHashScan,
     /*mix64_batch=*/Avx512Mix64Batch,
     /*hamming_words=*/Avx512HammingWords,
+    /*mismatch_block16=*/Avx512MismatchBlock16,
 };
 
 }  // namespace lshclust::simd
@@ -219,6 +260,7 @@ const KernelTable kAvx512Kernels = {
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
     /*hamming_words=*/ScalarHammingWords,
+    /*mismatch_block16=*/ScalarMismatchBlock16,
 };
 
 }  // namespace lshclust::simd

@@ -146,5 +146,44 @@ namespace {
   return distance;
 }
 
+/// Mask of the 16 lanes of `counts` below `bound`.
+[[maybe_unused]] static inline uint32_t ScalarLanesBelow(const uint32_t* counts,
+                                                         uint32_t bound) {
+  uint32_t mask = 0;
+  for (uint32_t lane = 0; lane < 16; ++lane) {
+    if (counts[lane] < bound) mask |= 1u << lane;
+  }
+  return mask;
+}
+
+/// Adds the mismatches of row[j] vs block row j, j in [begin, end), into
+/// the 16 lane counters.
+[[maybe_unused]] static inline void ScalarAccumulateBlock16(
+    const uint32_t* row, const uint32_t* block, uint32_t begin, uint32_t end,
+    uint32_t* counts) {
+  for (uint32_t j = begin; j < end; ++j) {
+    const uint32_t code = row[j];
+    const uint32_t* modes = block + static_cast<uint64_t>(j) * 16;
+    for (uint32_t lane = 0; lane < 16; ++lane) {
+      counts[lane] += (modes[lane] != code) ? 1 : 0;
+    }
+  }
+}
+
+[[maybe_unused]] static uint32_t ScalarMismatchBlock16(const uint32_t* row,
+                                                       const uint32_t* block,
+                                                       uint32_t m,
+                                                       uint32_t bound,
+                                                       uint32_t* counts) {
+  for (uint32_t lane = 0; lane < 16; ++lane) counts[lane] = 0;
+  uint32_t j = 0;
+  for (; j + 32 <= m; j += 32) {
+    ScalarAccumulateBlock16(row, block, j, j + 32, counts);
+    if (ScalarLanesBelow(counts, bound) == 0) return 0;
+  }
+  ScalarAccumulateBlock16(row, block, j, m, counts);
+  return ScalarLanesBelow(counts, bound);
+}
+
 }  // namespace
 }  // namespace lshclust::simd

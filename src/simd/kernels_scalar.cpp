@@ -18,6 +18,7 @@ const KernelTable kScalarKernels = {
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
     /*hamming_words=*/ScalarHammingWords,
+    /*mismatch_block16=*/ScalarMismatchBlock16,
 };
 
 }  // namespace lshclust::simd

@@ -204,6 +204,62 @@ void Sse42Mix64Batch(const uint32_t* tokens, uint32_t count, uint64_t seed,
   }
 }
 
+/// Lanes of `mismatches` (four 4-lane quarters of the 16-lane block) below
+/// `bound`, unsigned: a lane is not below iff max(lane, bound) == lane.
+inline uint32_t LanesBelow(const __m128i* mismatches, uint32_t bound) {
+  const __m128i vbound = _mm_set1_epi32(static_cast<int>(bound));
+  uint32_t not_below = 0;
+  for (uint32_t q = 0; q < 4; ++q) {
+    const __m128i ge = _mm_cmpeq_epi32(_mm_max_epu32(mismatches[q], vbound),
+                                       mismatches[q]);
+    not_below |= static_cast<uint32_t>(
+                     _mm_movemask_ps(_mm_castsi128_ps(ge)))
+                 << (4 * q);
+  }
+  return ~not_below & 0xFFFFu;
+}
+
+/// Four 4-lane equality counters over block rows [begin, end); the
+/// mismatch count of a lane is then (attributes seen) - (equal count).
+inline void AccumulateEqualBlock16(const uint32_t* row, const uint32_t* block,
+                                   uint32_t begin, uint32_t end,
+                                   __m128i* equals) {
+  for (uint32_t j = begin; j < end; ++j) {
+    const __m128i code = _mm_set1_epi32(static_cast<int>(row[j]));
+    const __m128i* modes =
+        reinterpret_cast<const __m128i*>(block + static_cast<uint64_t>(j) * 16);
+    for (uint32_t q = 0; q < 4; ++q) {
+      equals[q] = _mm_sub_epi32(
+          equals[q], _mm_cmpeq_epi32(code, _mm_loadu_si128(modes + q)));
+    }
+  }
+}
+
+inline uint32_t FinishBlock16(const __m128i* equals, uint32_t seen,
+                              uint32_t bound, uint32_t* counts) {
+  __m128i mismatches[4];
+  const __m128i vseen = _mm_set1_epi32(static_cast<int>(seen));
+  for (uint32_t q = 0; q < 4; ++q) {
+    mismatches[q] = _mm_sub_epi32(vseen, equals[q]);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(counts + 4 * q),
+                     mismatches[q]);
+  }
+  return LanesBelow(mismatches, bound);
+}
+
+uint32_t Sse42MismatchBlock16(const uint32_t* row, const uint32_t* block,
+                              uint32_t m, uint32_t bound, uint32_t* counts) {
+  __m128i equals[4] = {_mm_setzero_si128(), _mm_setzero_si128(),
+                       _mm_setzero_si128(), _mm_setzero_si128()};
+  uint32_t j = 0;
+  for (; j + 32 <= m; j += 32) {
+    AccumulateEqualBlock16(row, block, j, j + 32, equals);
+    if (FinishBlock16(equals, j + 32, bound, counts) == 0) return 0;
+  }
+  AccumulateEqualBlock16(row, block, j, m, equals);
+  return FinishBlock16(equals, m, bound, counts);
+}
+
 }  // namespace
 
 const KernelTable kSse42Kernels = {
@@ -216,6 +272,7 @@ const KernelTable kSse42Kernels = {
     // Sketches are a handful of words; hardware popcnt (this TU is built
     // with -mpopcnt) is already the fast path.
     /*hamming_words=*/ScalarHammingWords,
+    /*mismatch_block16=*/Sse42MismatchBlock16,
 };
 
 }  // namespace lshclust::simd
@@ -235,6 +292,7 @@ const KernelTable kSse42Kernels = {
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
     /*hamming_words=*/ScalarHammingWords,
+    /*mismatch_block16=*/ScalarMismatchBlock16,
 };
 
 }  // namespace lshclust::simd

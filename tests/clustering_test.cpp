@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "clustering/dissimilarity.h"
@@ -179,6 +180,119 @@ TEST(ModeTableTest, SetModeFromItemCopiesRow) {
   ModeTable modes(1, 2);
   modes.SetModeFromItem(0, dataset, 3);
   EXPECT_EQ(MismatchDistance(modes.Mode(0), dataset.Row(3)), 0u);
+}
+
+// The per-attribute majority computed the obvious way: count codes in an
+// ordered map and keep the first strict maximum, i.e. the smallest code on
+// ties. Empty clusters keep `previous` or, under kReseedRandomItem, copy
+// the row of the item `rng` draws, in ascending cluster order.
+std::vector<uint32_t> ReferenceModes(const CategoricalDataset& dataset,
+                                     const std::vector<uint32_t>& assignment,
+                                     uint32_t k,
+                                     const std::vector<uint32_t>& previous,
+                                     EmptyClusterPolicy policy, Rng& rng) {
+  const uint32_t m = dataset.num_attributes();
+  std::vector<uint32_t> modes = previous;
+  std::vector<uint32_t> sizes(k, 0);
+  for (const uint32_t cluster : assignment) ++sizes[cluster];
+  for (uint32_t cluster = 0; cluster < k; ++cluster) {
+    if (sizes[cluster] == 0) continue;
+    for (uint32_t j = 0; j < m; ++j) {
+      std::map<uint32_t, uint32_t> counts;
+      for (uint32_t item = 0; item < dataset.num_items(); ++item) {
+        if (assignment[item] == cluster) ++counts[dataset.Row(item)[j]];
+      }
+      uint32_t best_code = 0;
+      uint32_t best_count = 0;
+      for (const auto& [code, count] : counts) {
+        if (count > best_count) {
+          best_count = count;
+          best_code = code;
+        }
+      }
+      modes[static_cast<size_t>(cluster) * m + j] = best_code;
+    }
+  }
+  if (policy == EmptyClusterPolicy::kReseedRandomItem) {
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      if (sizes[cluster] != 0) continue;
+      const auto row =
+          dataset.Row(static_cast<uint32_t>(rng.Below(dataset.num_items())));
+      std::copy(row.begin(), row.end(),
+                modes.begin() + static_cast<size_t>(cluster) * m);
+    }
+  }
+  return modes;
+}
+
+TEST(ModeTableTest, RandomizedUpdateMatchesMapReference) {
+  // Three-code domains make ties common; m = 3, 16 and 37 cover rows
+  // narrower than a tile, exactly one tile and a ragged last tile; k = 1
+  // and k = 6 give clusters far above 16 members, k = 90 mostly tiny
+  // ones. Only every other cluster id is used, so half the clusters are
+  // empty under both policies.
+  uint64_t seed = 1;
+  for (const uint32_t m : {3u, 16u, 37u}) {
+    for (const uint32_t k : {1u, 6u, 90u}) {
+      for (const EmptyClusterPolicy policy :
+           {EmptyClusterPolicy::kKeepPreviousMode,
+            EmptyClusterPolicy::kReseedRandomItem}) {
+        ++seed;
+        Rng data_rng(seed);
+        const uint32_t n = 300;
+        std::vector<uint32_t> codes(static_cast<size_t>(n) * m);
+        for (auto& code : codes) {
+          code = static_cast<uint32_t>(data_rng.Below(3)) * 1000;
+        }
+        const auto dataset =
+            CategoricalDataset::FromCodes(n, m, 3000, codes).ValueOrDie();
+        std::vector<uint32_t> assignment(n);
+        for (auto& cluster : assignment) {
+          cluster = k == 1 ? 0
+                           : static_cast<uint32_t>(
+                                 data_rng.Below((k + 1) / 2)) * 2;
+        }
+        ModeTable modes(k, m);
+        for (uint32_t cluster = 0; cluster < k; ++cluster) {
+          modes.SetModeFromItem(cluster, dataset, (cluster * 7) % n);
+        }
+        std::vector<uint32_t> previous;
+        for (uint32_t cluster = 0; cluster < k; ++cluster) {
+          const auto mode = modes.Mode(cluster);
+          previous.insert(previous.end(), mode.begin(), mode.end());
+        }
+        Rng rng(seed * 31);
+        Rng reference_rng(seed * 31);
+        // Twice, so the second update runs on warm scratch.
+        for (int round = 0; round < 2; ++round) {
+          modes.RecomputeFromAssignment(dataset, assignment, policy, rng);
+          const auto expected = ReferenceModes(dataset, assignment, k,
+                                               previous, policy,
+                                               reference_rng);
+          for (uint32_t cluster = 0; cluster < k; ++cluster) {
+            const auto mode = modes.Mode(cluster);
+            ASSERT_TRUE(std::equal(
+                mode.begin(), mode.end(),
+                expected.begin() + static_cast<size_t>(cluster) * m))
+                << "m=" << m << " k=" << k << " cluster=" << cluster
+                << " round=" << round;
+          }
+          previous = expected;
+          // Move a third of the items before the next round.
+          for (uint32_t item = 0; item < n; item += 3) {
+            assignment[item] = assignment[(item * 13) % n];
+          }
+        }
+        uint32_t largest = 0;
+        for (const uint32_t size : modes.cluster_sizes()) {
+          largest = std::max(largest, size);
+        }
+        if (k <= 6) {
+          EXPECT_GT(largest, 16u);
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- initializers --

@@ -21,6 +21,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "clustering/kmodes.h"
 #include "clustering/kprototypes.h"
@@ -481,6 +483,133 @@ TEST(EngineThreadParityTest, ExhaustiveProviderHasNoScratchRequirement) {
   const auto result =
       RunKMeansEngine(dataset, options, provider).ValueOrDie();
   EXPECT_EQ(AssignmentFingerprint(result.assignment), 0x89731a86c434c228ULL);
+}
+
+// ------------------------------------------ blocked K-Modes exhaustive scan --
+//
+// K-Modes exhaustive passes and Predict run the blocked 16-cluster scan
+// (AssignNearestModes); per-item BestClusterExhaustive is the argmin it
+// must reproduce. A three-code domain puts many items at equal distance
+// from several modes; 40 attributes take the block kernel past its first
+// 32-attribute bound check; k = 15, 16, 17 straddle one block.
+
+using Categorical = CategoricalClusteringTraits;
+
+const uint32_t kBlockedKs[] = {1, 15, 16, 17, 100};
+
+CategoricalDataset TieHeavyFixture() {
+  const uint32_t n = 400;
+  const uint32_t m = 40;
+  Rng rng(91);
+  std::vector<uint32_t> codes(static_cast<size_t>(n) * m);
+  for (auto& code : codes) code = static_cast<uint32_t>(rng.Below(3));
+  return CategoricalDataset::FromCodes(n, m, 3, codes).ValueOrDie();
+}
+
+TEST(BlockedExhaustiveScanTest, MatchesPerItemArgminWithTies) {
+  const auto dataset = TieHeavyFixture();
+  const uint32_t n = dataset.num_items();
+  for (const uint32_t k : kBlockedKs) {
+    // Every fifth mode duplicates the one before it: exact ties between
+    // clusters, some of them across a block boundary (k = 16 -> 15, 16).
+    ModeTable modes(k, dataset.num_attributes());
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      const uint32_t source = cluster % 5 == 0 && cluster > 0 ? cluster - 1
+                                                               : cluster;
+      modes.SetModeFromItem(cluster, dataset, (source * 37) % n);
+    }
+    BlockedModes blocked;
+    blocked.Build(modes);
+    EngineOptions options;
+    options.num_clusters = k;
+    Rng rng(k);
+    for (const bool seeded : {false, true}) {
+      // First pass: every item starts in cluster 0; later passes: its own.
+      std::vector<uint32_t> seeds(n, 0);
+      if (seeded) {
+        for (auto& seed : seeds) seed = static_cast<uint32_t>(rng.Below(k));
+      }
+      const auto check = [&](auto early_exit) {
+        constexpr bool kEarlyExit = decltype(early_exit)::value;
+        std::vector<uint32_t> expected = seeds;
+        uint64_t expected_moves = 0;
+        // A range that starts and ends mid-tile; items outside it keep
+        // their seed.
+        const uint32_t begin = 7;
+        const uint32_t end = 301;
+        for (uint32_t item = begin; item < end; ++item) {
+          expected[item] = BestClusterExhaustive<Categorical, kEarlyExit>(
+              dataset, modes, options, item, seeds[item], k);
+          expected_moves += expected[item] != seeds[item] ? 1 : 0;
+        }
+        std::vector<uint32_t> got = seeds;
+        const uint64_t moves = AssignExhaustiveRange<Categorical, kEarlyExit>(
+            dataset, modes, blocked, options, got, begin, end);
+        EXPECT_EQ(got, expected) << "k=" << k << " seeded=" << seeded
+                                 << " early_exit=" << kEarlyExit;
+        EXPECT_EQ(moves, expected_moves);
+      };
+      check(std::false_type{});
+      check(std::true_type{});
+    }
+  }
+}
+
+TEST(BlockedExhaustiveScanTest, KModesRunMatchesPerItemReference) {
+  const auto dataset = TieHeavyFixture();
+  const uint32_t n = dataset.num_items();
+  for (const uint32_t k : kBlockedKs) {
+    EngineOptions options;
+    options.num_clusters = k;
+    options.max_iterations = 20;
+    options.chunk_size = 64;
+    Rng seed_rng(500 + k);
+    options.initial_seeds = seed_rng.SampleWithoutReplacement(n, k);
+
+    // The engine's procedure spelled out with the per-item argmin.
+    ModeTable modes(k, dataset.num_attributes());
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      modes.SetModeFromItem(cluster, dataset, options.initial_seeds[cluster]);
+    }
+    Rng rng(options.seed);
+    std::vector<uint32_t> assignment(n, 0);
+    for (uint32_t item = 0; item < n; ++item) {
+      assignment[item] = BestClusterExhaustive<Categorical, true>(
+          dataset, modes, options, item, 0, k);
+    }
+    modes.RecomputeFromAssignment(dataset, assignment,
+                                  options.empty_cluster_policy, rng);
+    std::vector<uint64_t> expected_moves;
+    for (uint32_t iteration = 1; iteration <= options.max_iterations;
+         ++iteration) {
+      uint64_t moves = 0;
+      for (uint32_t item = 0; item < n; ++item) {
+        const uint32_t best = BestClusterExhaustive<Categorical, true>(
+            dataset, modes, options, item, assignment[item], k);
+        if (best != assignment[item]) {
+          assignment[item] = best;
+          ++moves;
+        }
+      }
+      modes.RecomputeFromAssignment(dataset, assignment,
+                                    options.empty_cluster_policy, rng);
+      expected_moves.push_back(moves);
+      if (moves == 0) break;
+    }
+
+    for (const uint32_t threads : {1u, 3u}) {
+      options.num_threads = threads;
+      const auto result = RunKModes(dataset, options).ValueOrDie();
+      EXPECT_EQ(result.assignment, assignment)
+          << "k=" << k << " threads=" << threads;
+      ASSERT_EQ(result.iterations.size(), expected_moves.size())
+          << "k=" << k << " threads=" << threads;
+      for (size_t i = 0; i < expected_moves.size(); ++i) {
+        EXPECT_EQ(result.iterations[i].moves, expected_moves[i])
+            << "k=" << k << " threads=" << threads << " iteration=" << i + 1;
+      }
+    }
+  }
 }
 
 }  // namespace

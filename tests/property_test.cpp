@@ -86,6 +86,18 @@ TEST_P(ClusteringPropertyTest, InvariantsHoldForBothAlgorithms) {
               result->init_seconds + result->initial_assign_seconds +
                   result->index_build_seconds + result->RefinementSeconds() -
                   1e-6);
+    // 5b. Centroid-update timers nest inside their phases: each
+    //     iteration's update inside the iteration, the run's total inside
+    //     the initial assignment plus the iterations.
+    double iteration_updates = 0;
+    for (const auto& iteration : result->iterations) {
+      EXPECT_GE(iteration.update_seconds, 0.0);
+      EXPECT_LE(iteration.update_seconds, iteration.seconds);
+      iteration_updates += iteration.update_seconds;
+    }
+    EXPECT_GE(result->centroid_update_seconds, iteration_updates - 1e-9);
+    EXPECT_LE(result->centroid_update_seconds,
+              result->initial_assign_seconds + iteration_updates + 1e-9);
   }
 
   // 6. Baseline scans k clusters per item; MH must not exceed it.

@@ -36,7 +36,8 @@ class TierGuard {
 std::vector<simd::SimdTier> SupportedTiers() {
   std::vector<simd::SimdTier> tiers = {simd::SimdTier::kScalar};
   for (const simd::SimdTier tier :
-       {simd::SimdTier::kSse42, simd::SimdTier::kAvx2}) {
+       {simd::SimdTier::kSse42, simd::SimdTier::kAvx2,
+        simd::SimdTier::kAvx512}) {
     if (simd::TierSupported(tier)) tiers.push_back(tier);
   }
   return tiers;
@@ -263,6 +264,70 @@ TEST(SimdKernelParityTest, HammingWordsAllTiers) {
                                                     words),
                 expected)
           << "tier=" << simd::TierName(tier) << " words=" << words;
+    }
+  }
+}
+
+TEST(SimdKernelParityTest, MismatchBlock16AllTiersBoundsAndAlignments) {
+  TierGuard guard;
+  const auto tiers = SupportedTiers();
+  constexpr uint32_t kLanes = simd::kModeBlockLanes;
+  for (const uint32_t m : {1u, 15u, 16u, 17u, 31u, 32u, 33u, 100u, 257u}) {
+    // +1 so the offset-1 views stay in bounds (unaligned rows and blocks).
+    const auto row = RandomCodes(m + 1, 3000 + m);
+    // Lane 0 equals the row everywhere, lane 15 differs everywhere, and
+    // lane l in between differs with probability l / 15.
+    Rng rng(4000 + m);
+    std::vector<uint32_t> block(static_cast<size_t>(m + 1) * kLanes);
+    for (const uint32_t offset : {0u, 1u}) {
+      for (uint32_t j = 0; j < m; ++j) {
+        for (uint32_t lane = 0; lane < kLanes; ++lane) {
+          const bool differ = rng.Below(kLanes - 1) < lane;
+          block[offset + j * kLanes + lane] =
+              differ ? row[offset + j] ^ 1u : row[offset + j];
+        }
+      }
+      uint32_t full[kLanes] = {};
+      for (uint32_t j = 0; j < m; ++j) {
+        for (uint32_t lane = 0; lane < kLanes; ++lane) {
+          full[lane] += block[offset + j * kLanes + lane] != row[offset + j];
+        }
+      }
+      ASSERT_EQ(full[0], 0u);
+      ASSERT_EQ(full[kLanes - 1], m);
+      for (const uint32_t bound : {0u, 1u, m / 2, m, m + 1, ~0u}) {
+        uint32_t expected_mask = 0;
+        for (uint32_t lane = 0; lane < kLanes; ++lane) {
+          if (full[lane] < bound) expected_mask |= 1u << lane;
+        }
+        ASSERT_TRUE(simd::ForceSimdTier(simd::SimdTier::kScalar));
+        uint32_t reference[kLanes];
+        ASSERT_EQ(simd::ActiveKernels().mismatch_block16(
+                      row.data() + offset, block.data() + offset, m, bound,
+                      reference),
+                  expected_mask);
+        for (const simd::SimdTier tier : tiers) {
+          ASSERT_TRUE(simd::ForceSimdTier(tier));
+          uint32_t counts[kLanes];
+          const uint32_t mask = simd::ActiveKernels().mismatch_block16(
+              row.data() + offset, block.data() + offset, m, bound, counts);
+          // The mask never depends on the early exit; the counts are the
+          // full counts whenever some lane is below the bound, and the
+          // tier-identical partial counts otherwise.
+          EXPECT_EQ(mask, expected_mask)
+              << "tier=" << simd::TierName(tier) << " m=" << m
+              << " bound=" << bound << " offset=" << offset;
+          for (uint32_t lane = 0; lane < kLanes; ++lane) {
+            EXPECT_EQ(counts[lane], reference[lane])
+                << "tier=" << simd::TierName(tier) << " m=" << m
+                << " bound=" << bound << " offset=" << offset
+                << " lane=" << lane;
+            if (mask != 0) {
+              EXPECT_EQ(counts[lane], full[lane]);
+            }
+          }
+        }
+      }
     }
   }
 }
