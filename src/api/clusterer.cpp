@@ -228,7 +228,7 @@ std::vector<uint32_t> AssignNearest(const typename Traits::Dataset& dataset,
   const uint32_t n = dataset.num_items();
   std::vector<uint32_t> assignment(n, 0);
   ExhaustiveView<Traits> view;
-  BuildExhaustiveView<Traits>(model, &view);
+  view.Build(model);
   const auto assign_range = [&](uint32_t begin, uint32_t end) {
     AssignExhaustiveRange<Traits, /*EarlyExit=*/true>(
         dataset, model, view, options, assignment, begin, end);

@@ -262,7 +262,11 @@ uint32_t BestClusterOf(const typename Traits::Dataset& dataset,
 
 namespace internal {
 
-struct NoExhaustiveView {};
+/// The exhaustive view of traits without their own scan: nothing to build.
+struct NoExhaustiveView {
+  template <typename Centroids>
+  void Build(const Centroids&) {}
+};
 
 template <typename Traits>
 struct ExhaustiveViewType {
@@ -276,28 +280,19 @@ struct ExhaustiveViewType<Traits> {
 
 }  // namespace internal
 
-/// Pass-local state of an exhaustive scan: the traits' ExhaustiveView
-/// when they bring their own scan (K-Modes: BlockedModes), else empty.
+/// Pass-local state of an exhaustive scan, rebuilt from the centroids by
+/// `view.Build(centroids)` once per pass: the traits' ExhaustiveView when
+/// they declare one (K-Modes: BlockedModes), else an empty no-op view.
 template <typename Traits>
 using ExhaustiveView = typename internal::ExhaustiveViewType<Traits>::type;
 
-/// Rebuilds `view` from the current centroids; a no-op for traits without
-/// their own scan. Call once per pass, before AssignExhaustiveRange.
-template <typename Traits>
-void BuildExhaustiveView(const typename Traits::Centroids& centroids,
-                         ExhaustiveView<Traits>* view) {
-  if constexpr (requires { Traits::BuildExhaustiveView(centroids, view); }) {
-    Traits::BuildExhaustiveView(centroids, view);
-  }
-}
-
 /// Exhaustive nearest-centroid assignment of items [begin, end): each
 /// item's `assignment` entry is its seed cluster on entry and the
-/// BestClusterExhaustive argmin on exit. Traits with an ExhaustiveView run
-/// their own scan over it (which must reproduce that argmin; K-Modes'
-/// blocked scan is the same for either EarlyExit); the others run
-/// BestClusterExhaustive per item. Returns the number of items whose
-/// cluster changed.
+/// BestClusterExhaustive argmin on exit. K-Modes (traits whose
+/// ExhaustiveView is BlockedModes) runs the blocked scan
+/// AssignNearestModes, which reproduces that argmin for either EarlyExit;
+/// the other families run BestClusterExhaustive per item. Returns the
+/// number of items whose cluster changed.
 template <typename Traits, bool EarlyExit>
 uint64_t AssignExhaustiveRange(const typename Traits::Dataset& dataset,
                                const typename Traits::Centroids& centroids,
@@ -306,8 +301,8 @@ uint64_t AssignExhaustiveRange(const typename Traits::Dataset& dataset,
                                std::span<uint32_t> assignment, uint32_t begin,
                                uint32_t end) {
   if constexpr (requires { typename Traits::ExhaustiveView; }) {
-    return Traits::ScanExhaustive(dataset, centroids, view, assignment, begin,
-                                  end);
+    return AssignNearestModes(dataset, centroids, view, assignment, begin,
+                              end);
   } else {
     uint64_t moves = 0;
     for (uint32_t item = begin; item < end; ++item) {
@@ -371,8 +366,9 @@ struct CategoricalClusteringTraits {
   }
 
   /// Mismatch count of item vs mode. EarlyExit selects the bounded
-  /// blockwise kernel; the plain kernel is kept distinct so the ablation
-  /// bench measures exactly the kernels it names.
+  /// blockwise kernel (shortlist scoring and the routed fallback); the
+  /// plain kernel is kept distinct so the ablation bench's per-item argmin
+  /// measures exactly the kernels it names.
   template <bool EarlyExit>
   static DistanceType ComputeDistance(const Dataset& dataset,
                                       const Centroids& modes, const Options&,
@@ -387,22 +383,9 @@ struct CategoricalClusteringTraits {
     }
   }
 
-  /// Exhaustive scans run on a pass-local blocked copy of the modes
-  /// (see AssignExhaustiveRange).
+  /// Exhaustive passes scan a pass-local blocked copy of the modes
+  /// (AssignExhaustiveRange -> AssignNearestModes).
   using ExhaustiveView = BlockedModes;
-
-  static void BuildExhaustiveView(const Centroids& modes,
-                                  ExhaustiveView* view) {
-    view->Build(modes);
-  }
-
-  static uint64_t ScanExhaustive(const Dataset& dataset,
-                                 const Centroids& modes,
-                                 const ExhaustiveView& view,
-                                 std::span<uint32_t> assignment,
-                                 uint32_t begin, uint32_t end) {
-    return AssignNearestModes(dataset, modes, view, assignment, begin, end);
-  }
 
   static void UpdateCentroids(const Dataset& dataset, Centroids& modes,
                               std::span<const uint32_t> assignment,
@@ -804,7 +787,7 @@ class ClusteringEngine {
                                  ShardedAccumulator<ChunkStats>& accumulator,
                                  uint64_t* evaluated,
                                  const CancelPoll& cancel) {
-    BuildExhaustiveView<Traits>(centroids, &view);
+    view.Build(centroids);
     accumulator.Reset(plan);
     ForEachShardChunk(
         plan, pool,

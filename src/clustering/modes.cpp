@@ -1,7 +1,6 @@
 #include "clustering/modes.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "simd/dispatch.h"
 #include "util/rng.h"
@@ -9,11 +8,6 @@
 namespace lshclust {
 
 namespace {
-
-/// Clusters up to this size take the pairwise path (SmallClusterModes).
-constexpr uint32_t kSmallCluster = 16;
-/// Attributes per tile of the pairwise path.
-constexpr uint32_t kTileWidth = 16;
 
 /// Majority code of `codes[0, count)`, smallest code on ties, counted in
 /// `table`: open addressing over a power-of-two number of slots, at least
@@ -43,67 +37,6 @@ uint32_t MajorityCode(const uint32_t* codes, uint32_t count,
   }
   for (uint32_t t = 0; t < count; ++t) table[slot_of[t]].count = 0;
   return best_code;
-}
-
-/// Modes of attributes [first, first + kTileWidth) of a cluster of `size`
-/// <= kSmallCluster members with rows `rows`. Per attribute, each member's
-/// code scores the number of members sharing it; the highest score wins
-/// and the smaller code breaks ties — the same majority as MajorityCode.
-/// The loops run across the tile's attributes without data-dependent
-/// branches, four attributes per vector.
-void SmallClusterTileModes(const uint32_t* const* rows, uint32_t size,
-                           uint32_t first, uint32_t* mode) {
-  using Lanes = uint32_t __attribute__((vector_size(16)));
-  constexpr uint32_t kVectors = kTileWidth / 4;
-  const auto load = [](const uint32_t* from) {
-    Lanes lanes;
-    std::memcpy(&lanes, from, sizeof(lanes));
-    return lanes;
-  };
-  Lanes best_count[kVectors];
-  Lanes best_code[kVectors];
-  for (uint32_t v = 0; v < kVectors; ++v) {
-    best_count[v] = Lanes{};
-    best_code[v] = ~Lanes{};
-  }
-  for (uint32_t t = 0; t < size; ++t) {
-    Lanes candidate[kVectors];
-    Lanes count[kVectors];
-    for (uint32_t v = 0; v < kVectors; ++v) {
-      candidate[v] = load(rows[t] + first + 4 * v);
-      count[v] = Lanes{};
-    }
-    for (uint32_t u = 0; u < size; ++u) {
-      for (uint32_t v = 0; v < kVectors; ++v) {
-        // Lane-wise == yields all-ones (-1) where equal.
-        count[v] -= (Lanes)(candidate[v] == load(rows[u] + first + 4 * v));
-      }
-    }
-    for (uint32_t v = 0; v < kVectors; ++v) {
-      const Lanes tied = (Lanes)(count[v] == best_count[v]);
-      const Lanes better = (Lanes)(count[v] > best_count[v]) |
-                           (tied & (Lanes)(candidate[v] < best_code[v]));
-      best_count[v] = (count[v] & better) | (best_count[v] & ~better);
-      best_code[v] = (candidate[v] & better) | (best_code[v] & ~better);
-    }
-  }
-  std::memcpy(mode + first, best_code, sizeof(best_code));
-}
-
-/// The mode of a cluster of `size` <= kSmallCluster members over m >=
-/// kTileWidth attributes, written to `mode`, one tile of attributes at a
-/// time. A tile's modes depend only on its attributes, so the last tile may
-/// overlap the one before it.
-void SmallClusterModes(const uint32_t* codes, uint32_t m,
-                       const uint32_t* members, uint32_t size,
-                       uint32_t* mode) {
-  const uint32_t* rows[kSmallCluster];
-  for (uint32_t t = 0; t < size; ++t) {
-    rows[t] = codes + static_cast<size_t>(members[t]) * m;
-  }
-  for (uint32_t first = 0; first < m; first += kTileWidth) {
-    SmallClusterTileModes(rows, size, std::min(first, m - kTileWidth), mode);
-  }
 }
 
 }  // namespace
@@ -157,32 +90,23 @@ void ModeTable::RecomputeFromAssignment(const CategoricalDataset& dataset,
     order[offsets[assignment[item] + 1]++] = item;
   }
 
-  // Small clusters (the common case at large k) count code agreements
-  // pairwise, attribute-parallel (SmallClusterModes), when rows span at
-  // least one tile. Other clusters gather each attribute's member codes
-  // into `column` and count them in a hash table of at least twice their
+  // Per cluster and attribute, gather the member codes into `column` and
+  // count them in a hash table of at least twice the largest cluster's
   // size (MajorityCode).
-  const bool pairwise = m >= kTileWidth;
   std::vector<uint32_t>& column = scratch_.column;
   std::vector<uint32_t>& slot_of = scratch_.slot_of;
   std::vector<internal::CodeCount>& table = scratch_.table;
-  if (largest > kSmallCluster || !pairwise) {
-    column.resize(largest);
-    slot_of.resize(largest);
-    size_t slots = 1;
-    while (slots < 2 * static_cast<size_t>(largest)) slots *= 2;
-    table.assign(slots, internal::CodeCount{});
-  }
+  column.resize(largest);
+  slot_of.resize(largest);
+  size_t slots = 1;
+  while (slots < 2 * static_cast<size_t>(largest)) slots *= 2;
+  table.assign(slots, internal::CodeCount{});
   const uint32_t* codes = dataset.codes().data();
   for (uint32_t cluster = 0; cluster < k; ++cluster) {
     const uint32_t* members = order.data() + offsets[cluster];
     const uint32_t size = sizes_[cluster];
     if (size == 0) continue;
     uint32_t* mode = codes_.data() + static_cast<size_t>(cluster) * m;
-    if (pairwise && size <= kSmallCluster) {
-      SmallClusterModes(codes, m, members, size, mode);
-      continue;
-    }
     for (uint32_t attribute = 0; attribute < m; ++attribute) {
       for (uint32_t t = 0; t < size; ++t) {
         column[t] = codes[static_cast<size_t>(members[t]) * m + attribute];

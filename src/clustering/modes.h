@@ -9,10 +9,9 @@
 /// the smallest code so runs are reproducible.
 ///
 /// The update is grouped by cluster: a counting sort orders the items by
-/// cluster. A cluster of more than 16 members then counts each attribute's
-/// member codes in a hash table sized to the cluster; a smaller one scores
-/// each member's code by how many members share it, 16 attributes at a time
-/// without branches. Both give the majority code, smallest on ties.
+/// cluster, then each (cluster, attribute) counts its member codes in a
+/// hash table sized to the largest cluster and keeps the majority code,
+/// smallest on ties.
 ///
 /// BlockedModes is the other layout of the same modes: a pass-local,
 /// attribute-major copy in 16-cluster blocks, the operand of the block

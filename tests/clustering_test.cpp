@@ -226,11 +226,10 @@ std::vector<uint32_t> ReferenceModes(const CategoricalDataset& dataset,
 }
 
 TEST(ModeTableTest, RandomizedUpdateMatchesMapReference) {
-  // Three-code domains make ties common; m = 3, 16 and 37 cover rows
-  // narrower than a tile, exactly one tile and a ragged last tile; k = 1
-  // and k = 6 give clusters far above 16 members, k = 90 mostly tiny
-  // ones. Only every other cluster id is used, so half the clusters are
-  // empty under both policies.
+  // Three-code domains make ties common; m = 3, 16 and 37 vary the row
+  // width; k = 1 and k = 6 give clusters far above 16 members, k = 90
+  // mostly tiny ones. Only every other cluster id is used, so half the
+  // clusters are empty under both policies.
   uint64_t seed = 1;
   for (const uint32_t m : {3u, 16u, 37u}) {
     for (const uint32_t k : {1u, 6u, 90u}) {
